@@ -2,7 +2,8 @@
 
 Exit codes for ``balance``: 0 converged, 2 max cycles reached, 3 not
 balanceable, 4 parse/parameter failure.  ``verify`` exits 0 when the
-scaling meets the tolerance and 1 otherwise.
+scaling meets the tolerance, 1 otherwise (also when the scaled matrix
+overflows) and 4 when the scaling file cannot be read.
 """
 
 from __future__ import annotations
@@ -13,19 +14,18 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
-from .core import imbalance
+from .core import ScalingOverflowError, imbalance
 from .instances import (gen_kalantari, gen_random_sparse, gen_salient, stats,
                         theoretical_cycle_bound)
 from .lowbit import LowbitConfig, run_lowbit
 from .mmio import (ParseError, read_matrix_market, read_scaling,
                    write_matrix_market, write_scaling)
 from .parallel import greedy_color, run_parallel
-from .solver import LN2, SolverConfig, Strategy, run
+from .solver import STRATEGY_KINDS, SolverConfig, Strategy, run
 
-STRATEGY_NAMES = ("cyclic", "shuffled", "uniform", "weighted", "greedy")
+STRATEGY_NAMES = tuple(k for k in STRATEGY_KINDS if k != "fixed")
 _EXIT = {"converged": 0, "max_cycles": 2, "not_balanceable": 3}
 
 
@@ -75,10 +75,8 @@ def _report_json(report, st):
               default="exact", show_default=True)
 @click.option("--radix-rounding", is_flag=True)
 @click.option("--parallel", "parallel_", is_flag=True,
-              help="Color the support graph and run color classes together.")
-@click.option("--colors", default="auto", show_default=True,
-              help="Coloring source; only 'auto' (greedy) is supported.")
-@click.option("--workers", default=1, show_default=True)
+              help="Color the support graph and update class by class.")
+@click.option("--workers", default=1, help="Accepted; has no effect.")
 @click.option("--sample-every", default=1, show_default=True,
               help="Cycles between termination checks.")
 @click.option("--json", "as_json", is_flag=True)
@@ -87,7 +85,7 @@ def _report_json(report, st):
 @click.option("-o", "--output", default=None,
               help="Scaling output path [default: MATRIX_FILE.u].")
 def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
-                precision, radix_rounding, parallel_, colors, workers,
+                precision, radix_rounding, parallel_, workers,
                 sample_every, as_json, base2, output):
     """Balance a MatrixMarket file and write the log-domain scaling."""
     A = _load(matrix_file)
@@ -115,9 +113,6 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
                            radix_rounding=radix_rounding,
                            check_every=sample_every)
         if parallel_:
-            if colors != "auto":
-                click.echo("error: only --colors auto is supported", err=True)
-                sys.exit(4)
             report = run_parallel(A, greedy_color(A), cfg, workers=workers)
         else:
             report = run(A, cfg)
@@ -209,7 +204,11 @@ def cmd_verify(matrix_file, scaling_file, eps):
         click.echo(f"error: scaling has {len(u)} entries, matrix has {A.n}",
                    err=True)
         sys.exit(4)
-    cert = imbalance(A, u)
+    try:
+        cert = imbalance(A, u)
+    except ScalingOverflowError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     click.echo(f"l1_gradient_norm: {cert.l1_gradient_norm}")
     click.echo(f"potential: {cert.potential}")
     click.echo(f"normalized: {cert.normalized}")

@@ -164,11 +164,17 @@ def potential(A, u):
     return float(_scaled_entry_weights(A, u).sum())
 
 
-def gradient(A, u):
-    """Per-index row-sum minus column-sum of D A D^-1, one pass over entries."""
+def row_col_sums(A, u):
+    """Row and column sums of every row/column of D A D^-1, one pass over
+    the entries."""
     w = _scaled_entry_weights(A, u)
-    r = np.bincount(A.coo_rows, weights=w, minlength=A.n)
-    c = np.bincount(A.coo_cols, weights=w, minlength=A.n)
+    return (np.bincount(A.coo_rows, weights=w, minlength=A.n),
+            np.bincount(A.coo_cols, weights=w, minlength=A.n))
+
+
+def gradient(A, u):
+    """Per-index row-sum minus column-sum of D A D^-1."""
+    r, c = row_col_sums(A, u)
     return r - c
 
 
@@ -176,11 +182,9 @@ def imbalance(A, u):
     """Normalized L1 imbalance certificate of the scaling u."""
     if A.m == 0:
         raise BalancingError("imbalance of an empty matrix is undefined")
-    w = _scaled_entry_weights(A, u)
-    r = np.bincount(A.coo_rows, weights=w, minlength=A.n)
-    c = np.bincount(A.coo_cols, weights=w, minlength=A.n)
+    r, c = row_col_sums(A, u)
     norm = float(np.abs(r - c).sum())
-    pot = float(w.sum())
+    pot = float(r.sum())
     return ImbalanceCertificate(norm, pot, norm / pot)
 
 

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseNonnegMatrix
-from .solver import BalanceReport, TrajectorySample, Strategy, cycle_rng
-
-LN2 = math.log(2.0)
+from .solver import (LN2, TrajectorySample, Strategy, default_max_cycles,
+                     order_source, _final_report, _not_balanceable_report)
 
 # Horner coefficients for exp on [-ln2/2, ln2/2]: plain Taylor, degree 13.
 _EXP_COEFFS = [1.0 / math.factorial(k) for k in range(13, -1, -1)]
@@ -166,7 +164,6 @@ class LowbitState:
         self.cfg = cfg
         self.ctx = FixedContext(cfg.frac_bits)
         logs = preprocess_log_entries(A, cfg, self.ctx)
-        self.entry_logs = logs
         pos = {(int(i), int(j)): q
                for (i, j, _), q in zip(A.entries(), logs)}
         self.row_nbr = [[int(i) for i in A.row_index[j]] for j in range(A.n)]
@@ -247,36 +244,25 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     strategy = strategy or Strategy("cyclic")
     if strategy.kind not in ("cyclic", "shuffled", "fixed"):
         raise ValueError("low-bit mode supports cyclic-family strategies only")
+    cycle_order = order_source(strategy, A.n)
     start = time.perf_counter_ns()
     if A.m == 0 or A.has_empty_line():
-        return BalanceReport(np.zeros(A.n), 0, 0, 0,
-                             (time.perf_counter_ns() - start) / 1e9,
-                             [], "not_balanceable")
+        return _not_balanceable_report(A, start)
     if max_cycles is None:
-        kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
-        max_cycles = 4 * math.ceil(80 * math.ceil(math.log2(kappa))
-                                   / cfg.eps ** 2)
+        max_cycles = default_max_cycles(A, cfg.eps)
 
     state = LowbitState(A, cfg)
-    n = A.n
     updates = 0
     nonzeros = 0
     trajectory = []
 
     for k in range(max_cycles):
-        if strategy.kind == "cyclic":
-            order = range(n)
-        elif strategy.kind == "fixed":
-            order = strategy.order
-        else:
-            order = cycle_rng(strategy.seed, k).permutation(n)
-        for j in order:
-            j = int(j)
+        for j in cycle_order(k):
             delta = lowbit_update(state, j, cfg)
-            updates += 1
             nonzeros += int(A.deg[j])
             if update_hook is not None:
                 update_hook(state, j, delta)
+        updates += A.n
         # A non-descending cycle certifies an O(eps)-balancing, so the
         # verifier below is expected to fire on it; running it after
         # every cycle covers that branch without a separate descent
@@ -286,10 +272,8 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
         trajectory.append(TrajectorySample(
             updates, nonzeros, time.perf_counter_ns() - start, g_hat))
         if decided:
-            return BalanceReport(state.u_float(), k + 1, updates, nonzeros,
-                                 (time.perf_counter_ns() - start) / 1e9,
-                                 trajectory, "converged")
+            return _final_report(start, state.u_float(), k + 1, updates,
+                                 nonzeros, trajectory, "converged")
 
-    return BalanceReport(state.u_float(), max_cycles, updates, nonzeros,
-                         (time.perf_counter_ns() - start) / 1e9,
-                         trajectory, "max_cycles")
+    return _final_report(start, state.u_float(), max_cycles, updates,
+                         nonzeros, trajectory, "max_cycles")

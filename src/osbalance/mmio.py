@@ -73,4 +73,7 @@ def write_scaling(path, u, base2=False):
 
 def read_scaling(path):
     with open(path) as fh:
-        return np.array([float(line) for line in fh if line.strip()])
+        u = np.array([float(line) for line in fh if line.strip()])
+    if not np.all(np.isfinite(u)):
+        raise ValueError("scaling holds a non-finite value")
+    return u

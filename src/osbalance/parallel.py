@@ -3,21 +3,18 @@
 Vertices of one color class are pairwise non-adjacent in the support
 graph, so their updates read no scaling entry written by a same-class
 peer: executing a class concurrently is bitwise identical to executing
-it sequentially in any order.  A barrier separates the classes.
+it sequentially in any order.  A color-class run is therefore executed
+as the sequential fixed-order run over the classes in ascending color
+order; the coloring fixes that order and counts the rounds.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import imbalance
-from .solver import (BalanceReport, TrajectorySample, default_max_cycles,
-                     osborne_update, _not_balanceable_report)
+from .solver import Strategy, run
 
 
 class ImproperColoringError(ValueError):
@@ -72,81 +69,13 @@ def color_class_order(coloring):
 def run_parallel(A, coloring, cfg, workers=1):
     """Balance A processing color classes in ascending order each cycle.
 
-    Within a class the updates are partitioned into contiguous chunks,
-    one per worker; the result is bit-identical for any worker count.
-    The report counts one round per color class per cycle.
+    This is run(A, cfg) with the fixed order that concatenates the color
+    classes, so the result is bitwise equal to that sequential run.  The
+    report counts one round per color class per cycle.  workers is
+    accepted for compatibility and has no effect on execution.
     """
     validate_coloring(A, coloring)
-    start = time.perf_counter_ns()
-    if A.m == 0 or A.has_empty_line():
-        return _not_balanceable_report(A, start)
-    max_cycles = cfg.max_cycles
-    if max_cycles is None:
-        max_cycles = default_max_cycles(A, cfg.eps)
-
-    classes = color_class_order(coloring)
-    n = A.n
-    u = np.zeros(n)
-    updates = 0
-    nonzeros = 0
-    rounds = 0
-    trajectory = []
-
-    def update_chunk(chunk):
-        touched = 0
-        parlett_ok = True
-        for j in chunk:
-            r, c = osborne_update(A, u, j, cfg.radix_rounding)
-            touched += int(A.deg[j])
-            if not 2.0 * math.sqrt(r * c) > 0.95 * (r + c):
-                parlett_ok = False
-        return touched, parlett_ok
-
-    def check(parlett_ok):
-        nonlocal nonzeros
-        cert = imbalance(A, u)
-        if cfg.criterion == "l1":
-            nonzeros += A.m
-        trajectory.append(TrajectorySample(
-            updates, nonzeros, time.perf_counter_ns() - start,
-            cert.normalized))
-        if cfg.criterion == "l1":
-            return cert.normalized <= cfg.eps
-        return parlett_ok
-
-    if cfg.criterion == "l1" and check(False):
-        return BalanceReport(u, 0, updates, nonzeros,
-                             (time.perf_counter_ns() - start) / 1e9,
-                             trajectory, "converged", rounds_used=0)
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for k in range(max_cycles):
-            parlett_ok = True
-            for cls in classes:
-                if pool is None or len(cls) < 2:
-                    touched, ok = update_chunk(cls)
-                    results = [(touched, ok)]
-                else:
-                    nchunks = min(workers, len(cls))
-                    bounds = np.linspace(0, len(cls), nchunks + 1).astype(int)
-                    chunks = [cls[bounds[t]:bounds[t + 1]]
-                              for t in range(nchunks)]
-                    results = list(pool.map(update_chunk, chunks))
-                rounds += 1
-                for touched, ok in results:
-                    nonzeros += touched
-                    parlett_ok = parlett_ok and ok
-            updates += n
-            cycles = k + 1
-            if cycles % cfg.check_every == 0 and check(parlett_ok):
-                return BalanceReport(u, cycles, updates, nonzeros,
-                                     (time.perf_counter_ns() - start) / 1e9,
-                                     trajectory, "converged",
-                                     rounds_used=rounds)
-        return BalanceReport(u, max_cycles, updates, nonzeros,
-                             (time.perf_counter_ns() - start) / 1e9,
-                             trajectory, "max_cycles", rounds_used=rounds)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    order = tuple(v for cls in color_class_order(coloring) for v in cls)
+    report = run(A, replace(cfg, strategy=Strategy("fixed", order=order)))
+    report.rounds_used = coloring.num_colors * report.cycles_used
+    return report

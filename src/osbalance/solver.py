@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NotBalanceableError, imbalance, row_col_sums_at)
+from .core import (NotBalanceableError, imbalance, row_col_sums,
+                   row_col_sums_at)
 
 LN2 = math.log(2.0)
 
@@ -92,9 +94,7 @@ class BalanceReport:
 
 def default_max_cycles(A, eps):
     """Generous multiple of the worst-case cycle bound for conditioning
-    kappa = sum/min of the entries; 10**6 for an empty matrix."""
-    if A.m == 0:
-        return 10 ** 6
+    kappa = sum/min of the entries of A, which must have an entry."""
     kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
     return 4 * math.ceil(80 * math.ceil(math.log2(kappa)) / eps ** 2)
 
@@ -163,8 +163,8 @@ class WeightedState:
     def __init__(self, A, u):
         self.A = A
         self.u = u
-        w = _initial_sums(A, u)
-        self.fen = _Fenwick(list(w[0] + w[1]))
+        r, c = row_col_sums(A, u)
+        self.fen = _Fenwick((r + c).tolist())
 
     def refresh(self, j):
         for i in _touched(self.A, j):
@@ -196,7 +196,7 @@ class GreedyState:
     def __init__(self, A, u):
         self.A = A
         self.u = u
-        r, c = _initial_sums(A, u)
+        r, c = row_col_sums(A, u)
         imb = (np.sqrt(r) - np.sqrt(c)) ** 2
         self.stamp = [0] * A.n
         self.heap = [(-imb[i], i, 0) for i in range(A.n)]
@@ -221,25 +221,57 @@ def greedy_index(state):
 
 
 def _touched(A, j):
-    """j plus every vertex whose row/column sum an update of j can change."""
-    nbrs = A.neighbors(j)
-    if j in nbrs:
-        return [int(i) for i in nbrs]
-    return [j] + [int(i) for i in nbrs]
+    """j plus every vertex whose row/column sum an update of j can change;
+    the diagonal is never stored, so j is not among its neighbors."""
+    return [j] + A.neighbors(j).tolist()
 
 
-def _initial_sums(A, u):
-    w = np.exp(u[A.coo_rows] - u[A.coo_cols]) * A.coo_vals
-    r = np.bincount(A.coo_rows, weights=w, minlength=A.n)
-    c = np.bincount(A.coo_cols, weights=w, minlength=A.n)
-    return r, c
+def _final_report(start_ns, u, cycles, updates, nonzeros, trajectory,
+                  termination):
+    return BalanceReport(u, cycles, updates, nonzeros,
+                         (time.perf_counter_ns() - start_ns) / 1e9,
+                         trajectory, termination)
 
 
 def _not_balanceable_report(A, start_ns):
-    return BalanceReport(
-        u_final=np.zeros(A.n), cycles_used=0, updates_used=0,
-        nonzeros_touched=0, wall_time=(time.perf_counter_ns() - start_ns) / 1e9,
-        trajectory=[], termination="not_balanceable")
+    return _final_report(start_ns, np.zeros(A.n), 0, 0, 0, [],
+                         "not_balanceable")
+
+
+def order_source(strategy, n, state=None):
+    """The index source of a run: a function from the cycle number to the
+    n indices updated in that cycle, in order.
+
+    Greedy and weighted draw each index from state, the selection
+    structure the driver refreshes after every update, so their indices
+    are produced lazily.  A fixed order must hold n indices in [0, n),
+    but not every index: the balancing is unique only up to an additive
+    constant, so an order that omits one index can still converge.
+    """
+    kind, seed = strategy.kind, strategy.seed
+    if kind == "cyclic":
+        order = range(n)
+        return lambda k: order
+    if kind == "fixed":
+        order = tuple(map(operator.index, strategy.order))
+        if len(order) != n:
+            raise ValueError(f"fixed order has length {len(order)}, "
+                             f"expected n = {n}")
+        for j in order:
+            if not 0 <= j < n:
+                raise ValueError(f"fixed order index {j} is outside [0, {n})")
+        return lambda k: order
+    if kind == "shuffled":
+        return lambda k: cycle_rng(seed, k).permutation(n).tolist()
+    if kind == "uniform":
+        return lambda k: cycle_rng(seed, k).integers(0, n, size=n).tolist()
+    if kind == "greedy":
+        return lambda k: (greedy_index(state) for _ in range(n))
+
+    def weighted(k):
+        rng = cycle_rng(seed, k)
+        return (weighted_sample(state, rng) for _ in range(n))
+    return weighted
 
 
 def run(A, cfg, update_hook=None, cycle_hook=None):
@@ -257,79 +289,58 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     """
     n = A.n
     start = time.perf_counter_ns()
+    u = np.zeros(n)
+    state = None
+    if cfg.strategy.kind == "weighted":
+        state = WeightedState(A, u)
+    elif cfg.strategy.kind == "greedy":
+        state = GreedyState(A, u)
+    cycle_order = order_source(cfg.strategy, n, state)
     if A.m == 0 or A.has_empty_line():
         return _not_balanceable_report(A, start)
     max_cycles = cfg.max_cycles
     if max_cycles is None:
         max_cycles = default_max_cycles(A, cfg.eps)
 
-    u = np.zeros(n)
+    l1 = cfg.criterion == "l1"
+    deg = A.deg.tolist()
     updates = 0
     nonzeros = 0
     trajectory = []
 
-    def check(cycles, parlett_ok):
+    def report(cycles, termination):
+        return _final_report(start, u, cycles, updates, nonzeros,
+                             trajectory, termination)
+
+    def check(parlett_ok):
         nonlocal nonzeros
         cert = imbalance(A, u)
-        if cfg.criterion == "l1":
+        if l1:
             nonzeros += A.m
         trajectory.append(TrajectorySample(
             updates, nonzeros, time.perf_counter_ns() - start,
             cert.normalized))
-        if cfg.criterion == "l1":
-            return cert.normalized <= cfg.eps
-        return parlett_ok
+        return cert.normalized <= cfg.eps if l1 else parlett_ok
 
-    if cfg.criterion == "l1" and check(0, False):
-        return BalanceReport(u, 0, updates, nonzeros,
-                             (time.perf_counter_ns() - start) / 1e9,
-                             trajectory, "converged")
-
-    strategy = cfg.strategy
-    state = None
-    if strategy.kind == "weighted":
-        state = WeightedState(A, u)
-    elif strategy.kind == "greedy":
-        state = GreedyState(A, u)
+    if l1 and check(False):
+        return report(0, "converged")
 
     for k in range(max_cycles):
-        if strategy.kind == "cyclic":
-            order = range(n)
-        elif strategy.kind == "fixed":
-            order = strategy.order
-        elif strategy.kind == "shuffled":
-            order = cycle_rng(strategy.seed, k).permutation(n)
-        elif strategy.kind == "uniform":
-            order = cycle_rng(strategy.seed, k).integers(0, n, size=n)
-        else:
-            order = None  # chosen per update below
-
-        rng = cycle_rng(strategy.seed, k) if strategy.kind == "weighted" else None
         parlett_ok = True
-        for step in range(n):
-            if strategy.kind == "weighted":
-                j = weighted_sample(state, rng)
-            elif strategy.kind == "greedy":
-                j = greedy_index(state)
-            else:
-                j = int(order[step]) if strategy.kind != "cyclic" else step
+        for j in cycle_order(k):
             r, c = osborne_update(A, u, j, cfg.radix_rounding)
-            updates += 1
-            nonzeros += int(A.deg[j])
-            if not 2.0 * math.sqrt(r * c) > 0.95 * (r + c):
+            nonzeros += deg[j]
+            if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
                 parlett_ok = False
             if update_hook is not None:
                 update_hook(k, j, r, c)
             if state is not None:
                 state.refresh(j)
+        updates += n
         if cycle_hook is not None:
             cycle_hook(k, u)
         cycles = k + 1
-        if cycles % cfg.check_every == 0 and check(cycles, parlett_ok):
-            return BalanceReport(u, cycles, updates, nonzeros,
-                                 (time.perf_counter_ns() - start) / 1e9,
-                                 trajectory, "converged")
+        if cycles % cfg.check_every == 0 and check(parlett_ok):
+            return report(cycles, "converged")
 
-    return BalanceReport(u, max_cycles, updates, nonzeros,
-                         (time.perf_counter_ns() - start) / 1e9,
-                         trajectory, "max_cycles")
+    return report(max_cycles, "max_cycles")

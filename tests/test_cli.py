@@ -192,6 +192,26 @@ class TestVerify:
                                    "--eps", "1.0"])
         assert res.exit_code == 4
 
+    @pytest.mark.parametrize("text", ["inf\n0\n", "nan\n0\n"])
+    def test_non_finite_scaling_is_a_parse_failure(self, runner, tmp_path,
+                                                   text):
+        mtx, u = tmp_path / "a.mtx", tmp_path / "a.u"
+        write_two_by_two(mtx)
+        u.write_text(text)
+        res = runner.invoke(main, ["verify", str(mtx), str(u)])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "error: scaling holds a non-finite value" in res.output
+
+    def test_overflowing_scaling_misses_tolerance(self, runner, tmp_path):
+        mtx, u = tmp_path / "a.mtx", tmp_path / "a.u"
+        write_two_by_two(mtx)
+        u.write_text("800\n0\n")
+        res = runner.invoke(main, ["verify", str(mtx), str(u)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error: scaled entry overflowed" in res.output
+
 
 class TestBench:
     def test_csv_contract(self, runner, tmp_path):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from osbalance import (GreedyState, SolverConfig, Strategy, WeightedState,
-                       build_matrix, gen_kalantari, gradient, greedy_index,
-                       imbalance, osborne_update, potential, run,
-                       scaled_matrix, stats, theoretical_cycle_bound,
-                       weighted_sample)
+from osbalance import (GreedyState, LowbitConfig, SolverConfig, Strategy,
+                       WeightedState, build_matrix, gen_kalantari, gradient,
+                       greedy_index, imbalance, osborne_update, potential,
+                       run, run_lowbit, scaled_matrix, stats,
+                       theoretical_cycle_bound, weighted_sample)
 from osbalance.solver import cycle_rng
 from conftest import dense_instance, dense_potential, sparse_balanceable
 
@@ -172,6 +172,35 @@ class TestRun:
     def test_seed_required_for_random_kinds(self):
         with pytest.raises(ValueError):
             Strategy("shuffled")
+
+    @staticmethod
+    def run_fixed(driver, A, order):
+        strategy = Strategy("fixed", order=order)
+        if driver == "lowbit":
+            return run_lowbit(A, LowbitConfig(1e-2, A.n), strategy,
+                              max_cycles=200)
+        return run(A, SolverConfig(eps=1e-6, max_cycles=200,
+                                   strategy=strategy))
+
+    @pytest.mark.parametrize("driver", ["exact", "lowbit"])
+    @pytest.mark.parametrize("order, match", [
+        ((0, 1), "length 2"),                         # too short
+        (tuple(range(7)) + (0, 1), "length 9"),       # too long
+        ((0, 1, 2, 3, 4, 5, -1), "index -1"),         # would wrap
+        ((0, 1, 2, 3, 4, 5, 7), "index 7"),
+    ])
+    def test_malformed_fixed_order_rejected(self, driver, order, match):
+        with pytest.raises(ValueError, match=match):
+            self.run_fixed(driver, gen_kalantari(3), order)
+
+    @pytest.mark.parametrize("driver", ["exact", "lowbit"])
+    def test_fixed_order_may_omit_an_index(self, driver):
+        # The balancing is unique only up to an additive constant, so a
+        # cycle that never updates index 6 can still converge.
+        K = gen_kalantari(3)
+        rep = self.run_fixed(driver, K, (0, 1, 2, 3, 4, 5, 5))
+        assert rep.termination == "converged"
+        assert rep.updates_used == K.n * rep.cycles_used
 
     def test_scalar_rescale_equivariance(self):
         A = sparse_balanceable(10, 0.3, seed=73)
