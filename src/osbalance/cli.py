@@ -1,14 +1,16 @@
 """Command-line surface: balance, gen, stats, verify, bench.
 
 Exit codes for ``balance``: 0 converged, 2 max cycles reached, 3 not
-balanceable, 4 parse/parameter failure.  ``verify`` exits 0 when the
-scaling meets the tolerance, 1 otherwise (also when the scaled matrix
-overflows) and 4 when the scaling file cannot be read.
+balanceable, 4 parse/parameter failure or a scaled row/column sum that
+overflowed during the run (printed as ``error: ...``).  ``verify``
+exits 0 when the scaling meets the tolerance, 1 otherwise (also when
+the scaled matrix overflows) and 4 when the scaling file cannot be read.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -58,7 +60,7 @@ def _report_json(report, st):
         "nonzeros": report.nonzeros_touched,
         "imbalance": report.trajectory[-1].imbalance if report.trajectory
                      else None,
-        "kappa": st.kappa,
+        "kappa": st.kappa if math.isfinite(st.kappa) else "inf",
         "diameter": st.diameter if math.isfinite(st.diameter) else "inf",
     }
 
@@ -112,10 +114,15 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
                            strategy=_make_strategy(strategy, seed),
                            radix_rounding=radix_rounding,
                            check_every=sample_every)
-        if parallel_:
-            report = run_parallel(A, greedy_color(A), cfg, workers=workers)
-        else:
-            report = run(A, cfg)
+        try:
+            if parallel_:
+                report = run_parallel(A, greedy_color(A), cfg,
+                                      workers=workers)
+            else:
+                report = run(A, cfg)
+        except ScalingOverflowError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(4)
 
     out = output or matrix_file + ".u"
     write_scaling(out, report.u_final, base2=base2)
@@ -175,12 +182,8 @@ def cmd_stats(matrix_file, eps):
     """Print instance statistics and the worst-case cycle bound."""
     A = _load(matrix_file)
     st = stats(A)
-    click.echo(f"n: {st.n}")
-    click.echo(f"m: {st.m}")
-    click.echo(f"kappa: {st.kappa}")
-    click.echo(f"diameter: {st.diameter}")
-    click.echo(f"strongly_connected: {st.strongly_connected}")
-    click.echo(f"max_degree: {st.max_degree}")
+    for field in dataclasses.fields(st):
+        click.echo(f"{field.name}: {getattr(st, field.name)}")
     if st.strongly_connected:
         bound = theoretical_cycle_bound(st, eps)
         click.echo(f"cycle_bound[eps={eps}]: {bound.explicit}")

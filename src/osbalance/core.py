@@ -8,6 +8,7 @@ immutable inputs and are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,21 +23,24 @@ class NotBalanceableError(BalancingError):
 
 
 class ScalingOverflowError(BalancingError):
-    """A scaled entry overflowed to infinity; the scaling is pathological."""
+    """A scaled entry or sum overflowed (or a sum underflowed to zero)."""
 
 
 class SparseNonnegMatrix:
     """Square sparse matrix with positive off-diagonal entries.
 
-    Zeros are absent rather than stored, the diagonal is dropped at
-    construction, and the entry set is kept in both row-major and
-    column-major adjacency so that a single row/column pair can be
-    scanned in O(deg(j)) time.
+    Zeros are absent rather than stored and the diagonal is dropped at
+    construction.  Next to the canonical COO triplets, every entry is
+    kept twice in one flat incidence layout: vertex j owns the segment
+    ``inc_ptr[j]:inc_ptr[j + 1]`` of ``inc_idx`` (the other endpoint),
+    ``inc_val`` and ``inc_sign``, which holds row j's entries (sign +1,
+    the first ``out_deg[j]``) and then column j's (sign -1), each in
+    canonical order; a row/column pair is one O(deg(j)) slice.
     """
 
-    __slots__ = ("n", "m", "coo_rows", "coo_cols", "coo_vals",
-                 "row_index", "row_value", "col_index", "col_value",
-                 "deg", "dropped")
+    __slots__ = ("n", "m", "coo_rows", "coo_cols", "coo_vals", "inc_ptr",
+                 "inc_idx", "inc_val", "inc_sign", "out_deg", "deg",
+                 "dropped")
 
     def __init__(self, n, rows, cols, vals, dropped=0):
         # rows/cols/vals must already be canonical: diagonal-free,
@@ -48,32 +52,33 @@ class SparseNonnegMatrix:
         self.coo_vals = np.asarray(vals, dtype=np.float64)
         self.dropped = dropped
 
-        self.row_index = [None] * self.n
-        self.row_value = [None] * self.n
-        self.col_index = [None] * self.n
-        self.col_value = [None] * self.n
-        for j in range(self.n):
-            self.row_index[j] = np.empty(0, dtype=np.intp)
-            self.row_value[j] = np.empty(0, dtype=np.float64)
-            self.col_index[j] = np.empty(0, dtype=np.intp)
-            self.col_value[j] = np.empty(0, dtype=np.float64)
-        if self.m:
-            order = np.argsort(self.coo_rows, kind="stable")
-            bounds = np.searchsorted(self.coo_rows[order],
-                                     np.arange(self.n + 1))
-            for j in range(self.n):
-                sel = order[bounds[j]:bounds[j + 1]]
-                self.row_index[j] = self.coo_cols[sel].copy()
-                self.row_value[j] = self.coo_vals[sel].copy()
-            order = np.argsort(self.coo_cols, kind="stable")
-            bounds = np.searchsorted(self.coo_cols[order],
-                                     np.arange(self.n + 1))
-            for j in range(self.n):
-                sel = order[bounds[j]:bounds[j + 1]]
-                self.col_index[j] = self.coo_rows[sel].copy()
-                self.col_value[j] = self.coo_vals[sel].copy()
-        self.deg = np.array([self.row_index[j].size + self.col_index[j].size
-                             for j in range(self.n)], dtype=np.intp)
+        # Incidence k < m is entry k seen from its row, k >= m entry k - m
+        # from its column; a stable sort by (owner, part) keeps each part
+        # in canonical order.  Built in place: the peak memory of reading
+        # a file is set here, while the parsed triplets are still alive.
+        key = np.concatenate([self.coo_rows, self.coo_cols])
+        self.deg = np.bincount(key, minlength=self.n)
+        self.inc_ptr = np.concatenate([[0], np.cumsum(self.deg)])
+        key *= 2
+        key[self.m:] += 1
+        entry = np.argsort(key, kind="stable").astype(
+            np.min_scalar_type(2 * self.m))
+        del key
+        col_part = entry >= self.m
+        entry[col_part] -= self.m
+        self.inc_idx = self.coo_cols[entry]
+        self.inc_idx[col_part] = self.coo_rows[entry[col_part]]
+        self.inc_val = self.coo_vals[entry]
+        self.inc_sign = 1 - 2 * col_part.view(np.int8)
+        self.out_deg = np.bincount(self.coo_rows, minlength=self.n)
+
+    def split_incidence(self, flat):
+        """Per-vertex (row part, column part) lists of a flat sequence
+        with one item per incidence, such as ``inc_idx.tolist()``."""
+        ptr = self.inc_ptr.tolist()
+        mid = (self.inc_ptr[:-1] + self.out_deg).tolist()
+        return ([flat[ptr[j]:mid[j]] for j in range(self.n)],
+                [flat[mid[j]:ptr[j + 1]] for j in range(self.n)])
 
     def entries(self):
         """Iterate over (row, col, value) in canonical (row, col) order."""
@@ -82,8 +87,7 @@ class SparseNonnegMatrix:
 
     def neighbors(self, j):
         """Distinct vertices adjacent to j in the undirected support."""
-        return np.unique(np.concatenate([self.row_index[j],
-                                         self.col_index[j]]))
+        return np.unique(self.inc_idx[self.inc_ptr[j]:self.inc_ptr[j + 1]])
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
@@ -92,8 +96,7 @@ class SparseNonnegMatrix:
 
     def has_empty_line(self):
         """True if some row or column stores no entry at all."""
-        return any(self.row_index[j].size == 0 or self.col_index[j].size == 0
-                   for j in range(self.n))
+        return bool(np.any((self.out_deg == 0) | (self.out_deg == self.deg)))
 
 
 def build_matrix(n, triplets):
@@ -105,24 +108,21 @@ def build_matrix(n, triplets):
     if n <= 0:
         raise ValueError("matrix dimension must be positive")
     triplets = list(triplets)
-    if not triplets:
-        return SparseNonnegMatrix(n, [], [], [], dropped=0)
     rows = np.array([t[0] for t in triplets], dtype=np.intp)
     cols = np.array([t[1] for t in triplets], dtype=np.intp)
     vals = np.array([t[2] for t in triplets], dtype=np.float64)
-    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
+    if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
         raise ValueError("index out of range")
     if np.any(vals < 0):
         raise ValueError("negative value in triplet list")
     keep = (vals > 0) & (rows != cols)
     dropped = int(len(vals) - keep.sum())
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if rows.size:
-        keys = rows * n + cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        vals = np.bincount(inverse, weights=vals, minlength=uniq.size)
-        rows = uniq // n
-        cols = uniq % n
+    keys = rows * n + cols
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    vals = np.bincount(inverse, weights=vals, minlength=uniq.size)
+    rows = uniq // n
+    cols = uniq % n
     return SparseNonnegMatrix(n, rows, cols, vals, dropped=dropped)
 
 
@@ -144,32 +144,33 @@ def _scaled_entry_weights(A, u):
 
 def row_col_sums_at(A, u, j):
     """Row and column sum of row/column j of D A D^-1, in O(deg(j))."""
-    ri, rv = A.row_index[j], A.row_value[j]
-    ci, cv = A.col_index[j], A.col_value[j]
-    if ri.size == 0 or ci.size == 0:
+    lo, hi = A.inc_ptr[j], A.inc_ptr[j + 1]
+    split = A.out_deg[j]
+    if split == 0 or split == hi - lo:
         raise NotBalanceableError(
             f"row or column {j} is empty; the matrix is not balanceable "
             f"(consider scc_decompose)")
-    r = float(np.exp(u[j] - u[ri]) @ rv)
-    c = float(np.exp(u[ci] - u[j]) @ cv)
-    if not (np.isfinite(r) and np.isfinite(c)):
-        raise ScalingOverflowError("row/column sum overflowed")
+    w = np.exp((u[j] - u[A.inc_idx[lo:hi]]) * A.inc_sign[lo:hi])
+    r, c = np.add.reduceat(w * A.inc_val[lo:hi], [0, split]).tolist()
+    if not (0.0 < r < math.inf and 0.0 < c < math.inf):
+        raise ScalingOverflowError("row/column sum overflowed or underflowed")
     return r, c
 
 
 def potential(A, u):
     """Sum of all entries of D A D^-1 (the convex balancing objective)."""
-    if A.m == 0:
-        return 0.0
-    return float(_scaled_entry_weights(A, u).sum())
+    return imbalance(A, u).potential if A.m else 0.0
 
 
 def row_col_sums(A, u):
     """Row and column sums of every row/column of D A D^-1, one pass over
     the entries."""
     w = _scaled_entry_weights(A, u)
-    return (np.bincount(A.coo_rows, weights=w, minlength=A.n),
-            np.bincount(A.coo_cols, weights=w, minlength=A.n))
+    r = np.bincount(A.coo_rows, weights=w, minlength=A.n)
+    c = np.bincount(A.coo_cols, weights=w, minlength=A.n)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(c))):
+        raise ScalingOverflowError("row/column sum overflowed")
+    return r, c
 
 
 def gradient(A, u):
@@ -185,6 +186,8 @@ def imbalance(A, u):
     r, c = row_col_sums(A, u)
     norm = float(np.abs(r - c).sum())
     pot = float(r.sum())
+    if not (math.isfinite(norm) and math.isfinite(pot)):
+        raise ScalingOverflowError("imbalance overflowed")
     return ImbalanceCertificate(norm, pot, norm / pot)
 
 

@@ -20,7 +20,8 @@ from .core import BalancingError, SparseNonnegMatrix, build_matrix
 class InstanceStats:
     n: int
     m: int
-    kappa: float
+    kappa: float           # math.inf when sum/min overflows
+    log2_kappa: float      # finite even then
     diameter: float        # math.inf when not strongly connected
     strongly_connected: bool
     max_degree: int        # distinct undirected-support neighbors
@@ -95,41 +96,45 @@ def gen_random_sparse(n, p, value_lo=0.0, value_hi=1.0, seed=0):
 
 
 def _bfs_ecc(adj, source, n):
-    """Eccentricity of source over directed adjacency; -1 if not all
-    vertices are reachable."""
-    dist = np.full(n, -1, dtype=np.intp)
+    """Eccentricity of source over directed adjacency lists; -1 if not
+    all vertices are reachable."""
+    dist = [-1] * n
     dist[source] = 0
     frontier = [source]
-    d = 0
-    seen = 1
     while frontier:
-        d += 1
         nxt = []
         for v in frontier:
             for w in adj[v]:
                 if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(int(w))
-        seen += len(nxt)
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
         frontier = nxt
-    if seen < n:
-        return -1
-    return int(dist.max())
+    return -1 if min(dist) < 0 else max(dist)
+
+
+def log2_kappa(A):
+    """log2 of kappa = (sum of entries) / (min entry), formed without the
+    ratio so that it stays finite where kappa itself overflows."""
+    v = A.coo_vals
+    top = float(v.max())
+    return (math.log2(top) + math.log2(float((v / top).sum()))
+            - math.log2(float(v.min())))
 
 
 def stats(A):
     """Conditioning, diameter, connectivity and degree of the support."""
     if A.m == 0:
         raise BalancingError("stats of an empty matrix are undefined")
-    kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
+    with np.errstate(over="ignore"):
+        kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
     max_degree = max(len(A.neighbors(j)) for j in range(A.n))
-
-    fwd = A.row_index
-    rev = A.col_index
+    fwd, rev = A.split_incidence(A.inc_idx.tolist())
     if _bfs_ecc(fwd, 0, A.n) < 0 or _bfs_ecc(rev, 0, A.n) < 0:
-        return InstanceStats(A.n, A.m, kappa, math.inf, False, max_degree)
-    diameter = max(_bfs_ecc(fwd, v, A.n) for v in range(A.n))
-    return InstanceStats(A.n, A.m, kappa, float(diameter), True, max_degree)
+        diameter = math.inf
+    else:
+        diameter = float(max(_bfs_ecc(fwd, v, A.n) for v in range(A.n)))
+    return InstanceStats(A.n, A.m, kappa, log2_kappa(A), diameter,
+                         math.isfinite(diameter), max_degree)
 
 
 def scc_decompose(A):
@@ -138,70 +143,56 @@ def scc_decompose(A):
     Returns (blocks, cross_entries): blocks is a list of (vertex list,
     induced submatrix) pairs; cross-component entries are reported
     separately and are not balanced by any per-block scaling choice.
+    Kosaraju: a search over the rows orders the vertices by finish time;
+    searches over the columns, latest finish first, then yield one
+    component each, sources first.
     """
     n = A.n
-    adj = A.row_index
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp_of = [-1] * n
-    comps = []
-    counter = 0
-
+    fwd, rev = A.split_incidence(A.inc_idx.tolist())
+    seen = [False] * n
+    finished = []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            if ei < len(adj[v]):
-                work[-1] = (v, ei + 1)
-                w = int(adj[v][ei])
-                if index[w] < 0:
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
+        seen[root] = True
+        stack = [(root, iter(fwd[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(fwd[w])))
+                    break
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp_of[w] = len(comps)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(sorted(comp))
+                stack.pop()
+                finished.append(v)
 
-    comps.reverse()  # Tarjan emits sinks first; flip to topological order
-    order = {}
-    for ci, comp in enumerate(comps):
-        for pos, v in enumerate(comp):
-            order[v] = (ci, pos)
+    comp_of = [-1] * n
+    pos = [0] * n
+    comps = []
+    for root in reversed(finished):
+        if comp_of[root] >= 0:
+            continue
+        comp_of[root] = len(comps)
+        comp = [root]
+        for v in comp:  # grows while it is walked
+            for w in rev[v]:
+                if comp_of[w] < 0:
+                    comp_of[w] = len(comps)
+                    comp.append(w)
+        comps.append(sorted(comp))
+        for p, v in enumerate(comps[-1]):
+            pos[v] = p
 
-    blocks = []
-    cross = []
     per_block = [[] for _ in comps]
+    cross = []
     for i, j, v in A.entries():
-        ci, pi = order[i]
-        cj, pj = order[j]
-        if ci == cj:
-            per_block[ci].append((pi, pj, v))
+        if comp_of[i] == comp_of[j]:
+            per_block[comp_of[i]].append((pos[i], pos[j], v))
         else:
             cross.append((i, j, v))
-    for comp, triplets in zip(comps, per_block):
-        blocks.append((comp, build_matrix(len(comp), triplets)))
-    return blocks, cross
+    return ([(comp, build_matrix(len(comp), triplets))
+             for comp, triplets in zip(comps, per_block)], cross)
 
 
 def lp_reduce(A, p):
@@ -213,10 +204,15 @@ def lp_reduce(A, p):
                               A.coo_vals ** p)
 
 
+def explicit_cycle_bound(log2_kappa, eps):
+    """Worst-case cycles to imbalance eps: 80 ceil(log2 kappa) / eps**2."""
+    return math.ceil(80 * math.ceil(log2_kappa) / eps ** 2)
+
+
 def theoretical_cycle_bound(st, eps):
     """Worst-case cycle counts for reaching normalized imbalance eps."""
     if not st.strongly_connected:
         raise BalancingError("cycle bound requires strong connectivity")
-    explicit = math.ceil(80 * math.ceil(math.log2(st.kappa)) / eps ** 2)
-    shape = (math.log(st.kappa) / eps) * min(1.0 / eps, st.diameter)
-    return CycleBound(explicit, shape)
+    shape = (st.log2_kappa * math.log(2.0) / eps) * min(1.0 / eps,
+                                                        st.diameter)
+    return CycleBound(explicit_cycle_bound(st.log2_kappa, eps), shape)

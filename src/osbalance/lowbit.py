@@ -163,15 +163,11 @@ class LowbitState:
         self.A = A
         self.cfg = cfg
         self.ctx = FixedContext(cfg.frac_bits)
-        logs = preprocess_log_entries(A, cfg, self.ctx)
-        pos = {(int(i), int(j)): q
-               for (i, j, _), q in zip(A.entries(), logs)}
-        self.row_nbr = [[int(i) for i in A.row_index[j]] for j in range(A.n)]
-        self.row_log = [[pos[(j, i)] for i in self.row_nbr[j]]
-                        for j in range(A.n)]
-        self.col_nbr = [[int(i) for i in A.col_index[j]] for j in range(A.n)]
-        self.col_log = [[pos[(i, j)] for i in self.col_nbr[j]]
-                        for j in range(A.n)]
+        # Every entry is stored twice, in its row's and in its column's
+        # list, so each of its two fixed-point logs is range-checked.
+        logs = [self.ctx.from_float(math.log(v)) for v in A.inc_val.tolist()]
+        self.row_nbr, self.col_nbr = A.split_incidence(A.inc_idx.tolist())
+        self.row_log, self.col_log = A.split_incidence(logs)
         self.u = [0] * A.n
 
     def u_float(self):
@@ -190,11 +186,9 @@ class LowbitState:
         return log_sum_exp(terms, self.cfg, self.ctx)
 
     def potential_log(self):
-        terms = []
-        for j in range(self.A.n):
-            uj = self.u[j]
-            terms.extend(q + uj - self.u[i]
-                         for q, i in zip(self.row_log[j], self.row_nbr[j]))
+        u = self.u
+        terms = [q + u[j] - u[i] for j in range(self.A.n)
+                 for q, i in zip(self.row_log[j], self.row_nbr[j])]
         return log_sum_exp(terms, self.cfg, self.ctx)
 
 
@@ -206,7 +200,6 @@ def lowbit_update(state, j, cfg=None):
     sums, hence the applied ratio e**delta matches sqrt(c/r) to
     relative gamma_prime.
     """
-    cfg = cfg or state.cfg
     if not state.row_nbr[j] or not state.col_nbr[j]:
         raise ValueError(f"row or column {j} is empty")
     r_log = state.row_sum_log(j)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (NotBalanceableError, imbalance, row_col_sums,
                    row_col_sums_at)
+from .instances import explicit_cycle_bound, log2_kappa
 
 LN2 = math.log(2.0)
 
@@ -93,10 +94,8 @@ class BalanceReport:
 
 
 def default_max_cycles(A, eps):
-    """Generous multiple of the worst-case cycle bound for conditioning
-    kappa = sum/min of the entries of A, which must have an entry."""
-    kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
-    return 4 * math.ceil(80 * math.ceil(math.log2(kappa)) / eps ** 2)
+    """Four times the explicit worst-case cycle bound; A must have an entry."""
+    return 4 * explicit_cycle_bound(log2_kappa(A), eps)
 
 
 def osborne_update(A, u, j, radix_rounding=False):
@@ -167,9 +166,12 @@ class WeightedState:
         self.fen = _Fenwick((r + c).tolist())
 
     def refresh(self, j):
-        for i in _touched(self.A, j):
+        """Reweigh j and its neighbors; returns the nonzeros scanned."""
+        touched = _touched(self.A, j)
+        for i in touched:
             r, c = row_col_sums_at(self.A, self.u, i)
             self.fen.set(i, r + c)
+        return int(self.A.deg[touched].sum())
 
     def weight(self, i):
         return self.fen.weights[i]
@@ -203,11 +205,14 @@ class GreedyState:
         heapq.heapify(self.heap)
 
     def refresh(self, j):
-        for i in _touched(self.A, j):
+        """Rescore j and its neighbors; returns the nonzeros scanned."""
+        touched = _touched(self.A, j)
+        for i in touched:
             r, c = row_col_sums_at(self.A, self.u, i)
             self.stamp[i] += 1
             score = (math.sqrt(r) - math.sqrt(c)) ** 2
             heapq.heappush(self.heap, (-score, i, self.stamp[i]))
+        return int(self.A.deg[touched].sum())
 
 
 def greedy_index(state):
@@ -305,7 +310,7 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     l1 = cfg.criterion == "l1"
     deg = A.deg.tolist()
     updates = 0
-    nonzeros = 0
+    nonzeros = 0 if state is None else A.m  # the pass that built state
     trajectory = []
 
     def report(cycles, termination):
@@ -314,9 +319,8 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
 
     def check(parlett_ok):
         nonlocal nonzeros
-        cert = imbalance(A, u)
-        if l1:
-            nonzeros += A.m
+        cert = imbalance(A, u)  # also the Parlett trajectory's sample
+        nonzeros += A.m
         trajectory.append(TrajectorySample(
             updates, nonzeros, time.perf_counter_ns() - start,
             cert.normalized))
@@ -335,7 +339,7 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
             if update_hook is not None:
                 update_hook(k, j, r, c)
             if state is not None:
-                state.refresh(j)
+                nonzeros += state.refresh(j)
         updates += n
         if cycle_hook is not None:
             cycle_hook(k, u)

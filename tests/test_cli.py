@@ -96,6 +96,42 @@ class TestBalance:
         vals = [float(line) for line in out.read_text().split()]
         assert vals[0] - vals[1] == pytest.approx(-1.0, abs=1e-9)
 
+    def test_overflowing_conditioning_converges(self, runner, tmp_path):
+        # kappa = (1e300 + 1e-300) / 1e-300 overflows; one update balances.
+        mtx, out = tmp_path / "o.mtx", tmp_path / "o.u"
+        write_matrix_market(mtx, build_matrix(2, [(0, 1, 1e300),
+                                                  (1, 0, 1e-300)]))
+        res = runner.invoke(main, ["balance", str(mtx), "-o", str(out),
+                                   "--json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["kappa"] == "inf"
+        ver = runner.invoke(main, ["verify", str(mtx), str(out)])
+        assert ver.exit_code == 0, ver.output
+
+    def test_overflowing_sum_exits_4(self, runner, tmp_path):
+        mtx = tmp_path / "o.mtx"
+        write_matrix_market(mtx, build_matrix(3, [
+            (0, 1, 1e308), (0, 2, 1e308), (1, 0, 1.0), (2, 0, 1.0),
+            (1, 2, 1.0), (2, 1, 1.0)]))
+        for extra in ([], ["--parallel"]):
+            res = runner.invoke(main, ["balance", str(mtx),
+                                       "-o", str(tmp_path / "o.u")] + extra)
+            assert res.exit_code == 4
+            assert isinstance(res.exception, SystemExit)
+            assert "error: row/column sum overflowed" in res.output
+
+    def test_underflowing_sum_exits_4(self, runner, tmp_path):
+        # The second cycle's row sum of index 1 underflows to zero.
+        mtx = tmp_path / "u.mtx"
+        write_matrix_market(mtx, build_matrix(3, [
+            (0, 1, 3.0381820057670038e+292), (0, 2, 2.8526290126358273e-216),
+            (1, 0, 3.226333723811323e-225), (2, 1, 1.031897967121833e+268)]))
+        res = runner.invoke(main, ["balance", str(mtx),
+                                   "-o", str(tmp_path / "u.u")])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "error: row/column sum overflowed or underflowed" in res.output
+
 
 class TestGen:
     def test_kalantari_counts(self, runner, tmp_path):
@@ -156,6 +192,17 @@ class TestStats:
         res = runner.invoke(main, ["stats", str(mtx)])
         assert "kappa: 6" in res.output
         assert "diameter: 1" in res.output
+
+    def test_overflowing_conditioning_has_finite_bound(self, runner,
+                                                         tmp_path):
+        mtx = tmp_path / "o.mtx"
+        write_matrix_market(mtx, build_matrix(2, [(0, 1, 1e300),
+                                                  (1, 0, 1e-300)]))
+        res = runner.invoke(main, ["stats", str(mtx), "--eps", "0.01"])
+        assert res.exit_code == 0, res.output
+        assert "kappa: inf" in res.output
+        # log2 kappa = log2(1e300) - log2(1e-300) = 1993.2..., ceil 1994
+        assert "cycle_bound[eps=0.01]: 1595200000" in res.output
 
     def test_disconnected_bound_withheld(self, runner, tmp_path):
         mtx = tmp_path / "d.mtx"

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from osbalance import (ScalingOverflowError, SolverConfig, Strategy,
-                       build_matrix, gradient, imbalance, potential,
-                       row_col_sums_at, run, scaled_matrix, stats,
-                       verify_balance)
+from hypothesis import given, settings, strategies as st
+
+from osbalance import (NotBalanceableError, ScalingOverflowError,
+                       SolverConfig, Strategy, build_matrix, gradient,
+                       imbalance, potential, row_col_sums_at, run,
+                       scaled_matrix, stats, verify_balance)
+from osbalance.core import row_col_sums
 from conftest import (dense_gradient, dense_instance, dense_potential,
                       dense_row_col)
 
@@ -39,15 +42,45 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix(0, [])
 
-    def test_views_consistent(self):
-        A = dense_instance(6, seed=3)
-        from_rows = sorted((j, int(i), float(v))
-                           for j in range(A.n)
-                           for i, v in zip(A.row_index[j], A.row_value[j]))
-        from_cols = sorted((int(i), j, float(v))
-                           for j in range(A.n)
-                           for i, v in zip(A.col_index[j], A.col_value[j]))
-        assert from_rows == from_cols
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.floats(0.0, 1e3)), max_size=3 * n * n),
+        st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))))
+    def test_views_consistent(self, case):
+        n, triplets, u = case
+        A = build_matrix(n, triplets)
+        u = np.array(u)
+        entries = list(A.entries())
+        rows_idx, cols_idx = A.split_incidence(A.inc_idx.tolist())
+        rows_val, cols_val = A.split_incidence(A.inc_val.tolist())
+        rows_sign, cols_sign = A.split_incidence(A.inc_sign.tolist())
+        r_all, c_all = row_col_sums(A, u)
+        for j in range(n):
+            row = [(b, v) for a, b, v in entries if a == j]
+            col = [(a, v) for a, b, v in entries if b == j]
+            assert list(zip(rows_idx[j], rows_val[j])) == row
+            assert list(zip(cols_idx[j], cols_val[j])) == col
+            assert rows_sign[j] == [1] * len(row)
+            assert cols_sign[j] == [-1] * len(col)
+            assert A.deg[j] == len(row) + len(col)
+            assert A.neighbors(j).tolist() == sorted(
+                {b for b, _ in row} | {a for a, _ in col})
+            if not row or not col:
+                with pytest.raises(NotBalanceableError):
+                    row_col_sums_at(A, u, j)
+                continue
+            if r_all[j] == 0.0 or c_all[j] == 0.0:  # every term underflowed
+                with pytest.raises(ScalingOverflowError):
+                    row_col_sums_at(A, u, j)
+                continue
+            r, c = row_col_sums_at(A, u, j)
+            assert abs(r - r_all[j]) <= 1e-15 * r_all[j]
+            assert abs(c - c_all[j]) <= 1e-15 * c_all[j]
+        assert A.has_empty_line() == any(
+            A.deg[j] == 0 or not rows_idx[j] or not cols_idx[j]
+            for j in range(n))
 
 
 class TestRowColSums:
@@ -95,6 +128,29 @@ class TestPotential:
         u = np.array([800.0, -800.0])
         with pytest.raises(ScalingOverflowError):
             potential(A22, u)
+
+
+# Every scaled entry is finite, but row 0 sums to 2e308.
+OVERFLOWING_ROW = build_matrix(3, [(0, 1, 1e308), (0, 2, 1e308), (1, 0, 1.0),
+                                   (2, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+
+
+class TestOverflowingSums:
+    def test_full_pass_raises(self):
+        with pytest.raises(ScalingOverflowError):
+            row_col_sums(OVERFLOWING_ROW, np.zeros(3))
+
+    def test_imbalance_raises(self):
+        with pytest.raises(ScalingOverflowError):
+            imbalance(OVERFLOWING_ROW, np.zeros(3))
+
+    def test_potential_raises(self):
+        with pytest.raises(ScalingOverflowError):
+            potential(OVERFLOWING_ROW, np.zeros(3))
+
+    def test_kernel_raises(self):
+        with pytest.raises(ScalingOverflowError):
+            row_col_sums_at(OVERFLOWING_ROW, np.zeros(3), 0)
 
 
 class TestGradient:

@@ -8,7 +8,7 @@ from osbalance import (GreedyState, LowbitConfig, SolverConfig, Strategy,
                        greedy_index, imbalance, osborne_update, potential,
                        run, run_lowbit, scaled_matrix, stats,
                        theoretical_cycle_bound, weighted_sample)
-from osbalance.solver import cycle_rng
+from osbalance.solver import cycle_rng, default_max_cycles
 from conftest import dense_instance, dense_potential, sparse_balanceable
 
 A22 = build_matrix(2, [(0, 1, 4.0), (1, 0, 1.0)])
@@ -103,6 +103,36 @@ class TestRun:
         assert rep.termination == "converged"
         bound = theoretical_cycle_bound(stats(A), 0.01).explicit
         assert rep.cycles_used <= bound
+
+    def test_default_max_cycles_is_four_explicit_bounds(self):
+        A = gen_kalantari(40)
+        assert default_max_cycles(A, 0.01) == 4 * theoretical_cycle_bound(
+            stats(A), 0.01).explicit
+        # kappa overflows to inf here, log2 kappa does not
+        B = build_matrix(2, [(0, 1, 1e300), (1, 0, 1e-300)])
+        assert default_max_cycles(B, 0.5) == 4 * 80 * 1994 * 4
+        assert run(B, SolverConfig()).termination == "converged"
+
+    def test_nonzeros_count_selection_and_checks(self):
+        A = gen_kalantari(3)
+        deg = A.deg.tolist()
+        nbrs = [{j for i, j, _ in A.entries() if i == v}
+                | {i for i, j, _ in A.entries() if j == v}
+                for v in range(A.n)]
+        order = []
+        rep = run(A, SolverConfig(max_cycles=1,
+                                  strategy=Strategy("greedy")),
+                  update_hook=lambda k, j, r, c: order.append(j))
+        assert len(order) == A.n
+        # state build, initial and final L1 check, then each update's
+        # own row/column plus the rescoring of j and its neighbors
+        upkeep = sum(2 * deg[j] + sum(deg[i] for i in nbrs[j])
+                     for j in order)
+        assert rep.nonzeros_touched == 3 * A.m + upkeep
+        rep = run(A, SolverConfig(max_cycles=1, criterion="parlett"))
+        assert rep.termination == "max_cycles"
+        # one cycle touches every entry twice; the check samples once
+        assert rep.nonzeros_touched == sum(deg) + A.m == 3 * A.m
 
     def test_not_balanceable_reported(self):
         A = build_matrix(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)])
