@@ -33,13 +33,16 @@ def greedy_color(A):
 
     Uses at most maxdegree + 1 colors.
     """
-    colors = np.full(A.n, -1, dtype=np.intp)
+    ptr = A.inc_ptr.tolist()
+    nbr = A.inc_idx.tolist()
+    colors = [-1] * A.n
     for v in range(A.n):
-        used = {int(colors[w]) for w in A.neighbors(v) if colors[w] >= 0}
+        used = {colors[w] for w in nbr[ptr[v]:ptr[v + 1]]}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
+    colors = np.array(colors, dtype=np.intp)
     return Coloring(colors, int(colors.max()) + 1 if A.n else 0)
 
 

@@ -279,6 +279,7 @@ def order_source(strategy, n, state=None):
     return weighted
 
 
+@np.errstate(over="ignore")  # overflowed sums raise ScalingOverflowError
 def run(A, cfg, update_hook=None, cycle_hook=None):
     """Iterate updates per cfg.strategy until the termination criterion
     holds or max_cycles pass.

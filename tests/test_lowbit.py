@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osbalance import (FixedContext, LowbitConfig, LowbitState, Strategy,
                        build_matrix, gen_kalantari, gen_salient, imbalance,
@@ -50,6 +51,17 @@ class TestFixedContext:
             q = ctx.from_float(float(x))
             got = ctx.to_float(ctx.log(q))
             assert abs(got - math.log(ctx.to_float(q))) <= 4 * delta
+
+    @pytest.mark.parametrize("frac_bits", [30, 40, 48])
+    def test_exp_log_within_one_unit_of_extended_precision(self, frac_bits):
+        ctx = FixedContext(frac_bits)
+        unit = mp.mpf(2) ** -frac_bits
+        for x in np.linspace(-30, 0, 121):
+            q = ctx.from_float(float(x))
+            assert abs(ctx.exp(q) * unit - mp.exp(q * unit)) <= unit
+        for x in np.geomspace(1e-6, 1e6, 121):
+            q = ctx.from_float(float(x))
+            assert abs(ctx.log(q) * unit - mp.log(q * unit)) <= unit
 
     def test_overflow_counted(self):
         ctx = FixedContext(55)
@@ -232,6 +244,12 @@ class TestRunLowbit:
             min(1.0 / eps, st.diameter)
         assert rep.nonzeros_touched <= budget
 
+    def test_nonzeros_count_updates_and_checks(self):
+        # one cycle touches every entry twice, and so does the check
+        rep = run_lowbit(SYM3, LowbitConfig(0.1, 3))
+        assert rep.cycles_used == 1
+        assert rep.nonzeros_touched == 4 * SYM3.m
+
     def test_no_overflow_during_run(self):
         A = dense_instance(8, seed=39)
         cfg = LowbitConfig(1e-2, A.n)
@@ -240,3 +258,28 @@ class TestRunLowbit:
                          update_hook=lambda st, j, d: traps.append(st))
         assert rep.termination == "converged"
         assert traps[0].ctx.overflows == 0
+
+
+def ring_plus_entries(n):
+    """A bidirectional ring (strongly connected) plus random entries,
+    all with values spread over six decades."""
+    log10 = st.floats(-3.0, 3.0)
+    return st.tuples(
+        st.just(n),
+        st.lists(log10, min_size=2 * n, max_size=2 * n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           log10), max_size=2 * n),
+        st.sampled_from([1e-1, 1e-2, 1e-3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(ring_plus_entries))
+def test_no_false_accepts(case):
+    n, ring, extra, eps = case
+    triplets = [(i, (i + 1) % n, 10.0 ** ring[2 * i]) for i in range(n)]
+    triplets += [((i + 1) % n, i, 10.0 ** ring[2 * i + 1]) for i in range(n)]
+    triplets += [(i, j, 10.0 ** e) for i, j, e in extra]
+    A = build_matrix(n, triplets)
+    rep = run_lowbit(A, LowbitConfig(eps, n), max_cycles=300)
+    if rep.termination == "converged":
+        assert imbalance(A, rep.u_final).normalized <= eps

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from osbalance import (GreedyState, LowbitConfig, SolverConfig, Strategy,
-                       WeightedState, build_matrix, gen_kalantari, gradient,
-                       greedy_index, imbalance, osborne_update, potential,
-                       run, run_lowbit, scaled_matrix, stats,
-                       theoretical_cycle_bound, weighted_sample)
+from osbalance import (GreedyState, LowbitConfig, ScalingOverflowError,
+                       SolverConfig, Strategy, WeightedState, build_matrix,
+                       gen_kalantari, gradient, greedy_index, imbalance,
+                       osborne_update, potential, run, run_lowbit,
+                       scaled_matrix, stats, theoretical_cycle_bound,
+                       weighted_sample)
 from osbalance.solver import cycle_rng, default_max_cycles
 from conftest import dense_instance, dense_potential, sparse_balanceable
 
@@ -138,6 +140,19 @@ class TestRun:
         A = build_matrix(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)])
         rep = run(A, SolverConfig(eps=1e-6))
         assert rep.termination == "not_balanceable"
+
+    def test_overflow_raises_without_warning(self):
+        # the first update's row sum overflows: numpy must not warn
+        # before the typed error is raised
+        A = build_matrix(3, [(0, 1, 2.890220117260686e-45),
+                             (0, 2, 1.6761172109559907e-284),
+                             (1, 0, 1.4750224836566334e+217),
+                             (1, 2, 3.6470718646188905e-291),
+                             (2, 1, 6.138363649824407e+261)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingOverflowError):
+                run(A, SolverConfig())
 
     def test_max_cycles_reported(self):
         K = gen_kalantari(40)
