@@ -15,6 +15,7 @@ criterion at three times its threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -110,6 +111,12 @@ def preprocess_log_entries(A, cfg, ctx=None):
     return [ctx.from_float(math.log(v)) for v in A.coo_vals]
 
 
+@functools.lru_cache(maxsize=1024)
+def _floor(gamma_prime, scale, count):
+    """Unchecked fixed-point ln(gamma_prime / (2 count)), once per count."""
+    return round(math.log(gamma_prime / (2.0 * count)) * scale)
+
+
 def log_sum_exp(values, cfg, ctx=None):
     """Floored log-sum-exp of fixed-point values, within gamma_prime.
 
@@ -123,7 +130,7 @@ def log_sum_exp(values, cfg, ctx=None):
     top = max(values)
     if len(values) == 1:
         return top
-    floor = ctx.from_float(math.log(cfg.gamma_prime / (2.0 * len(values))))
+    floor = ctx._check(_floor(cfg.gamma_prime, ctx.scale, len(values)))
     acc = 0
     for v in values:
         z = v - top

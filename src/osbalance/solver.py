@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NotBalanceableError, imbalance, row_col_sums,
-                   row_col_sums_at)
+from .core import (NotBalanceableError, ScalingOverflowError, imbalance,
+                   row_col_sums, row_col_sums_at)
 from .instances import explicit_cycle_bound, log2_kappa
 
 LN2 = math.log(2.0)
@@ -156,22 +156,96 @@ class _Fenwick:
         return min(idx, self.n - 1)
 
 
-class WeightedState:
-    """Maintains w_i = r_i + c_i over the current iterate for sampling."""
+class _KeptSums:
+    """Row and column sums r, c of the iterate, kept as Python lists next
+    to a mirror of u and updated in O(deg j) after an update of j.  A
+    neighbor's sum moves by the change of the shared entry, unless that
+    would cancel more than half of it: then it is recomputed from its
+    own entries.  resync() recomputes all sums, bounding the drift."""
 
     def __init__(self, A, u):
-        self.A = A
-        self.u = u
-        r, c = row_col_sums(A, u)
-        self.fen = _Fenwick((r + c).tolist())
+        self.A, self.u = A, u
+        self.row_nbr, self.col_nbr = A.split_incidence(A.inc_idx.tolist())
+        self.row_val, self.col_val = A.split_incidence(A.inc_val.tolist())
+        self.resync()
+
+    def resync(self):
+        """Recompute every sum from u in one pass over the entries and
+        rebuild the selection structure; returns the nonzeros scanned."""
+        r, c = row_col_sums(self.A, self.u)
+        self.r, self.c, self.mirror = r.tolist(), c.tolist(), self.u.tolist()
+        self._rebuild()
+        return self.A.m
+
+    def _exact(self, i):
+        """Recompute r_i and c_i from i's own entries; returns deg(i)."""
+        ui, mirror, exp = self.mirror[i], self.mirror, math.exp
+        row, col = self.row_nbr[i], self.col_nbr[i]
+        try:
+            r = sum([v * exp(ui - mirror[k])
+                     for k, v in zip(row, self.row_val[i])])
+            c = sum([v * exp(mirror[k] - ui)
+                     for k, v in zip(col, self.col_val[i])])
+        except OverflowError:
+            r = c = math.inf
+        self.r[i], self.c[i] = _finite_sums(r, c)
+        return len(row) + len(col)
+
+    def _resum(self, j):
+        """Bring the sums up to date after an update of j; returns the
+        nonzeros read and the vertices whose sums changed: j and its
+        distinct neighbors."""
+        uj = float(self.u[j])
+        mirror, r, c = self.mirror, self.r, self.c
+        delta = uj - mirror[j]
+        mirror[j] = uj
+        row, col = self.row_nbr[j], self.col_nbr[j]
+        exp, inf, guarded = math.exp, math.inf, []
+        rj = cj = 0.0
+        try:
+            down = -math.expm1(-delta)  # a row-j entry w was w e^-delta
+            up = -math.expm1(delta)     # a column-j entry w was w e^delta
+            for i, v in zip(row, self.row_val[j]):
+                w = v * exp(uj - mirror[i])
+                rj += w
+                old = c[i]
+                c[i] = new = old + w * down
+                if not 0.5 * old <= new < inf:
+                    guarded.append(i)
+            for i, v in zip(col, self.col_val[j]):
+                w = v * exp(mirror[i] - uj)
+                cj += w
+                old = r[i]
+                r[i] = new = old + w * up
+                if not 0.5 * old <= new < inf:
+                    guarded.append(i)
+            r[j], c[j] = _finite_sums(rj, cj)
+        except OverflowError:  # delta or an entry out of range: no shortcut
+            guarded = [j, *row, *col]
+        nonzeros = len(row) + len(col)
+        for i in set(guarded):
+            nonzeros += self._exact(i)
+        return nonzeros, {j, *row, *col}
+
+
+def _finite_sums(r, c):
+    if not (0.0 < r < math.inf and 0.0 < c < math.inf):
+        raise ScalingOverflowError("row/column sum overflowed or underflowed")
+    return r, c
+
+
+class WeightedState(_KeptSums):
+    """Maintains w_i = r_i + c_i over the current iterate for sampling."""
+
+    def _rebuild(self):
+        self.fen = _Fenwick([a + b for a, b in zip(self.r, self.c)])
 
     def refresh(self, j):
         """Reweigh j and its neighbors; returns the nonzeros scanned."""
-        touched = _touched(self.A, j)
+        nonzeros, touched = self._resum(j)
         for i in touched:
-            r, c = row_col_sums_at(self.A, self.u, i)
-            self.fen.set(i, r + c)
-        return int(self.A.deg[touched].sum())
+            self.fen.set(i, self.r[i] + self.c[i])
+        return nonzeros
 
     def weight(self, i):
         return self.fen.weights[i]
@@ -188,31 +262,29 @@ def weighted_sample(state, rng):
     return state.fen.find(rng.random() * total)
 
 
-class GreedyState:
+class GreedyState(_KeptSums):
     """Lazy max-heap over per-index imbalance (sqrt r - sqrt c)^2.
 
     Stale heap entries are skipped by version stamp instead of being
-    removed, to keep refreshes cheap.
+    removed, to keep refreshes cheap; resync() replaces the heap.
     """
 
-    def __init__(self, A, u):
-        self.A = A
-        self.u = u
-        r, c = row_col_sums(A, u)
-        imb = (np.sqrt(r) - np.sqrt(c)) ** 2
-        self.stamp = [0] * A.n
-        self.heap = [(-imb[i], i, 0) for i in range(A.n)]
-        heapq.heapify(self.heap)
+    def _rebuild(self):
+        self.stamp, self.heap = [-1] * self.A.n, []
+        self._rescore(range(self.A.n))
+
+    def _rescore(self, ids):
+        r, c, stamp, sqrt = self.r, self.c, self.stamp, math.sqrt
+        for i in ids:
+            stamp[i] += 1
+            heapq.heappush(self.heap,
+                           (-(sqrt(r[i]) - sqrt(c[i])) ** 2, i, stamp[i]))
 
     def refresh(self, j):
         """Rescore j and its neighbors; returns the nonzeros scanned."""
-        touched = _touched(self.A, j)
-        for i in touched:
-            r, c = row_col_sums_at(self.A, self.u, i)
-            self.stamp[i] += 1
-            score = (math.sqrt(r) - math.sqrt(c)) ** 2
-            heapq.heappush(self.heap, (-score, i, self.stamp[i]))
-        return int(self.A.deg[touched].sum())
+        nonzeros, touched = self._resum(j)
+        self._rescore(touched)
+        return nonzeros
 
 
 def greedy_index(state):
@@ -223,12 +295,6 @@ def greedy_index(state):
         if stamp == state.stamp[i]:
             return i
         heapq.heappop(heap)
-
-
-def _touched(A, j):
-    """j plus every vertex whose row/column sum an update of j can change;
-    the diagonal is never stored, so j is not among its neighbors."""
-    return [j] + A.neighbors(j).tolist()
 
 
 def _final_report(start_ns, u, cycles, updates, nonzeros, trajectory,
@@ -345,7 +411,9 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
         if cycle_hook is not None:
             cycle_hook(k, u)
         cycles = k + 1
-        if cycles % cfg.check_every == 0 and check(parlett_ok):
-            return report(cycles, "converged")
+        if cycles % cfg.check_every == 0:
+            if check(parlett_ok):
+                return report(cycles, "converged")
+            nonzeros += state.resync() if state is not None else 0
 
     return report(max_cycles, "max_cycles")

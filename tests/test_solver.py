@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from osbalance import (GreedyState, LowbitConfig, ScalingOverflowError,
-                       SolverConfig, Strategy, WeightedState, build_matrix,
-                       gen_kalantari, gradient, greedy_index, imbalance,
-                       osborne_update, potential, run, run_lowbit,
-                       scaled_matrix, stats, theoretical_cycle_bound,
-                       weighted_sample)
+from osbalance import (BalancingError, GreedyState, LowbitConfig,
+                       ScalingOverflowError, SolverConfig, Strategy,
+                       WeightedState, build_matrix, gen_kalantari, gen_salient,
+                       gradient, greedy_index, imbalance, osborne_update,
+                       potential, run, run_lowbit, scaled_matrix, stats,
+                       theoretical_cycle_bound, weighted_sample)
+from osbalance.core import row_col_sums
 from osbalance.solver import cycle_rng, default_max_cycles
 from conftest import dense_instance, dense_potential, sparse_balanceable
 
@@ -126,11 +128,15 @@ class TestRun:
                                   strategy=Strategy("greedy")),
                   update_hook=lambda k, j, r, c: order.append(j))
         assert len(order) == A.n
-        # state build, initial and final L1 check, then each update's
-        # own row/column plus the rescoring of j and its neighbors
-        upkeep = sum(2 * deg[j] + sum(deg[i] for i in nbrs[j])
-                     for j in order)
-        assert rep.nonzeros_touched == 3 * A.m + upkeep
+        # state build, initial and final L1 check, the resync after the
+        # failed final check, then each update's own row/column read by
+        # the kernel and again by the upkeep; every guarded neighbor is
+        # recomputed from its own deg(i) entries on top of that
+        base = 4 * A.m + sum(2 * deg[j] for j in order)
+        # rescoring j and its neighbors from scratch costs more
+        old = 3 * A.m + sum(2 * deg[j] + sum(deg[i] for i in nbrs[j])
+                            for j in order)
+        assert base < rep.nonzeros_touched <= old  # a guard fires here
         rep = run(A, SolverConfig(max_cycles=1, criterion="parlett"))
         assert rep.termination == "max_cycles"
         # one cycle touches every entry twice; the check samples once
@@ -342,6 +348,66 @@ class TestWeightedSample:
             counts[weighted_sample(st, rng)] += 1
         se = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3 * se)
+
+
+def _select(state, rng):
+    if isinstance(state, GreedyState):
+        return greedy_index(state)
+    return weighted_sample(state, rng)
+
+
+class TestKeptSums:
+    @pytest.mark.parametrize("A", [gen_kalantari(40), gen_salient(200, 5)],
+                             ids=["ring81", "salient200"])
+    @pytest.mark.parametrize("cls", [GreedyState, WeightedState])
+    def test_one_cycle_drift(self, A, cls):
+        u = np.zeros(A.n)
+        state = cls(A, u)
+        rng = cycle_rng(11, 0)
+        for _ in range(A.n):
+            j = _select(state, rng)
+            osborne_update(A, u, j)
+            state.refresh(j)
+        r, c = row_col_sums(A, u)
+        assert np.allclose(state.r, r, rtol=1e-12, atol=0.0)
+        assert np.allclose(state.c, c, rtol=1e-12, atol=0.0)
+        if cls is WeightedState:
+            assert np.allclose(state.fen.weights, r + c, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.floats(-60.0, 60.0), min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.floats(-60.0, 60.0)), max_size=2 * n))))
+    def test_sums_stay_positive_under_cancellation(self, case):
+        # A directed ring plus random entries, over 120 decades: updates
+        # of a few hundred e-folds make the change of a neighbor's sum
+        # cancel almost all of it.
+        n, ring, extra = case
+        triplets = [(i, (i + 1) % n, 10.0 ** e) for i, e in enumerate(ring)]
+        triplets += [(i, j, 10.0 ** e) for i, j, e in extra]
+        A = build_matrix(n, triplets)
+        for cls in (GreedyState, WeightedState):
+            u = np.zeros(n)
+            state = cls(A, u)
+            rng = cycle_rng(3, 0)
+            try:
+                for _ in range(30 * n):
+                    j = _select(state, rng)
+                    osborne_update(A, u, j)
+                    state.refresh(j)
+                    kept = state.r + state.c
+                    assert all(0.0 < x < math.inf for x in kept)
+            except BalancingError:
+                pass
+        for strategy in (Strategy("greedy"), Strategy("weighted", seed=3)):
+            try:
+                rep = run(A, SolverConfig(eps=1e-3, max_cycles=30,
+                                          strategy=strategy))
+            except BalancingError:
+                continue
+            assert rep.termination in ("converged", "max_cycles")
 
 
 def test_cycle_rng_streams_are_reproducible():
