@@ -139,8 +139,26 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
     sys.exit(_EXIT[report.termination])
 
 
+# The keys of each generated kind, as gen options and INSTANCE_SPEC keys.
+_GEN_KEYS = {"kalantari": ("k",), "salient": ("n", "s", "lo", "hi", "seed"),
+             "random": ("n", "p", "lo", "hi", "seed")}
+
+
+def _generate(kind, k=40, n=100, s=5, p=0.1, lo=None, hi=1.0, seed=0):
+    """The generated instance of a kind and its parameter line."""
+    if kind == "kalantari":
+        return gen_kalantari(k), f"k={k}"
+    if kind == "salient":
+        lo = 0.001 if lo is None else lo
+        return (gen_salient(n, s, lo=lo, hi=hi, seed=seed),
+                f"n={n} s={s} lo={lo} hi={hi} seed={seed}")
+    lo = 0.0 if lo is None else lo
+    return (gen_random_sparse(n, p, value_lo=lo, value_hi=hi, seed=seed),
+            f"n={n} p={p} lo={lo} hi={hi} seed={seed}")
+
+
 @main.command("gen")
-@click.argument("kind", type=click.Choice(["kalantari", "salient", "random"]))
+@click.argument("kind", type=click.Choice(list(_GEN_KEYS)))
 @click.option("--k", type=int, default=40, show_default=True)
 @click.option("--n", type=int, default=100, show_default=True)
 @click.option("--s", type=int, default=5, show_default=True)
@@ -153,17 +171,7 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
 def cmd_gen(kind, k, n, s, p, lo, hi, seed, output):
     """Generate an instance and write it as a MatrixMarket file."""
     try:
-        if kind == "kalantari":
-            A = gen_kalantari(k)
-            params = f"k={k}"
-        elif kind == "salient":
-            lo = 0.001 if lo is None else lo
-            A = gen_salient(n, s, lo=lo, hi=hi, seed=seed)
-            params = f"n={n} s={s} lo={lo} hi={hi} seed={seed}"
-        else:
-            lo = 0.0 if lo is None else lo
-            A = gen_random_sparse(n, p, value_lo=lo, value_hi=hi, seed=seed)
-            params = f"n={n} p={p} lo={lo} hi={hi} seed={seed}"
+        A, params = _generate(kind, k, n, s, p, lo, hi, seed)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(4)
@@ -219,28 +227,20 @@ def cmd_verify(matrix_file, scaling_file, eps):
 
 
 def _parse_instance_spec(spec):
-    if ":" not in spec:
+    kind, colon, args = spec.partition(":")
+    if not colon:
         return spec, read_matrix_market(spec)
-    kind, _, args = spec.partition(":")
-    kw = {}
-    if args:
-        for item in args.split(","):
-            key, _, val = item.partition("=")
-            kw[key] = float(val) if "." in val or "e" in val else int(val)
-    if kind == "kalantari":
-        return spec, gen_kalantari(kw.get("k", 40))
-    if kind == "salient":
-        return spec, gen_salient(kw.get("n", 200), kw.get("s", 5),
-                                 lo=kw.get("lo", 0.001), hi=kw.get("hi", 1.0),
-                                 seed=kw.get("seed", 0))
-    if kind == "random":
-        return spec, gen_random_sparse(kw.get("n", 100), kw.get("p", 0.1),
-                                       value_lo=kw.get("lo", 0.0),
-                                       value_hi=kw.get("hi", 1.0),
-                                       seed=kw.get("seed", 0))
     if kind == "file":
         return args, read_matrix_market(args)
-    raise ParseError(f"unknown instance spec {spec!r}")
+    if kind not in _GEN_KEYS:
+        raise ParseError(f"unknown instance spec {spec!r}")
+    kw = {"n": 200} if kind == "salient" else {}
+    for item in filter(None, args.split(",")):
+        key, _, val = item.partition("=")
+        if key not in _GEN_KEYS[kind]:
+            raise ParseError(f"unknown key {key!r} for {kind} instances")
+        kw[key] = float(val) if "." in val or "e" in val else int(val)
+    return spec, _generate(kind, **kw)[0]
 
 
 @main.command("bench")

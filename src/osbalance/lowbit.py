@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (TrajectorySample, Strategy, default_max_cycles,
-                     order_source, _final_report, _not_balanceable_report)
+from .solver import Strategy, drive
 
 
 @dataclass(frozen=True)
@@ -216,32 +214,18 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     strategy = strategy or Strategy("cyclic")
     if strategy.kind not in ("cyclic", "shuffled", "fixed"):
         raise ValueError("low-bit mode supports cyclic-family strategies only")
-    cycle_order = order_source(strategy, A.n)
-    start = time.perf_counter_ns()
-    if A.m == 0 or A.has_empty_line():
-        return _not_balanceable_report(A, start)
-    if max_cycles is None:
-        max_cycles = default_max_cycles(A, cfg.eps)
-
     state = LowbitState(A, cfg)
-    updates = 0
-    nonzeros = 0
-    trajectory = []
+    deg = A.deg.tolist()
 
-    for k in range(max_cycles):
-        for j in cycle_order(k):
-            delta = lowbit_update(state, j, cfg)
-            nonzeros += int(A.deg[j])
-            if update_hook is not None:
-                update_hook(state, j, delta)
-        updates += A.n
+    def update(k, j):
+        delta = lowbit_update(state, j, cfg)
+        if update_hook is not None:
+            update_hook(state, j, delta)
+        return deg[j]
+
+    def check(cycles):
         g_hat, decided = inexact_terminate_check(state, cfg)
-        nonzeros += 2 * A.m  # the row and column passes of the check
-        trajectory.append(TrajectorySample(
-            updates, nonzeros, time.perf_counter_ns() - start, g_hat))
-        if decided:
-            return _final_report(start, state.u_float(), k + 1, updates,
-                                 nonzeros, trajectory, "converged")
+        return g_hat, decided, 2 * A.m  # the row and column passes
 
-    return _final_report(start, state.u_float(), max_cycles, updates,
-                         nonzeros, trajectory, "max_cycles")
+    return drive(A, strategy, cfg.eps, max_cycles, update, check,
+                 state.u_float)

@@ -297,18 +297,6 @@ def greedy_index(state):
         heapq.heappop(heap)
 
 
-def _final_report(start_ns, u, cycles, updates, nonzeros, trajectory,
-                  termination):
-    return BalanceReport(u, cycles, updates, nonzeros,
-                         (time.perf_counter_ns() - start_ns) / 1e9,
-                         trajectory, termination)
-
-
-def _not_balanceable_report(A, start_ns):
-    return _final_report(start_ns, np.zeros(A.n), 0, 0, 0, [],
-                         "not_balanceable")
-
-
 def order_source(strategy, n, state=None):
     """The index source of a run: a function from the cycle number to the
     n indices updated in that cycle, in order.
@@ -345,6 +333,62 @@ def order_source(strategy, n, state=None):
     return weighted
 
 
+def drive(A, strategy, eps, max_cycles, update, check, iterate,
+          check_every=1, check_first=False, cycle_hook=None):
+    """The cycle loop of every run: exact, color-class and low-bit.
+
+    update(k, j) updates index j in cycle k and returns the nonzeros it
+    read.  check(cycles) returns (imbalance sample, converged, nonzeros
+    read) every check_every cycles, and before the first if check_first;
+    the trajectory records one sample per check.  iterate() is the
+    current iterate as a float64 array, over which greedy and weighted
+    selection keep their sums: refreshed after every update, resynced
+    after every check that does not end the run.
+    """
+    n, start = A.n, time.perf_counter_ns()
+    kept = {"weighted": WeightedState, "greedy": GreedyState}.get(strategy.kind)
+    state = kept(A, iterate()) if kept else None
+    cycle_order = order_source(strategy, n, state)
+    updates, nonzeros, trajectory = 0, 0, []
+
+    def report(u, cycles, termination):
+        return BalanceReport(u, cycles, updates, nonzeros,
+                             (time.perf_counter_ns() - start) / 1e9,
+                             trajectory, termination)
+
+    if A.m == 0 or A.has_empty_line():
+        return report(np.zeros(n), 0, "not_balanceable")
+    if max_cycles is None:
+        max_cycles = default_max_cycles(A, eps)
+    nonzeros = 0 if state is None else A.m  # the pass that built state
+
+    def checked(cycles):
+        nonlocal nonzeros
+        sample, converged, read = check(cycles)
+        nonzeros += read
+        trajectory.append(TrajectorySample(
+            updates, nonzeros, time.perf_counter_ns() - start, sample))
+        return converged
+
+    if check_first and checked(0):
+        return report(iterate(), 0, "converged")
+
+    for k in range(max_cycles):
+        for j in cycle_order(k):
+            nonzeros += update(k, j)
+            if state is not None:
+                nonzeros += state.refresh(j)
+        updates += n
+        if cycle_hook is not None:
+            cycle_hook(k, iterate())
+        if (k + 1) % check_every == 0:
+            if checked(k + 1):
+                return report(iterate(), k + 1, "converged")
+            nonzeros += state.resync() if state is not None else 0
+
+    return report(iterate(), max_cycles, "max_cycles")
+
+
 @np.errstate(over="ignore")  # overflowed sums raise ScalingOverflowError
 def run(A, cfg, update_hook=None, cycle_hook=None):
     """Iterate updates per cfg.strategy until the termination criterion
@@ -359,61 +403,24 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     update_hook(cycle, j, r_before, c_before) and cycle_hook(cycle, u)
     are instrumentation-only callbacks; they do not affect the run.
     """
-    n = A.n
-    start = time.perf_counter_ns()
-    u = np.zeros(n)
-    state = None
-    if cfg.strategy.kind == "weighted":
-        state = WeightedState(A, u)
-    elif cfg.strategy.kind == "greedy":
-        state = GreedyState(A, u)
-    cycle_order = order_source(cfg.strategy, n, state)
-    if A.m == 0 or A.has_empty_line():
-        return _not_balanceable_report(A, start)
-    max_cycles = cfg.max_cycles
-    if max_cycles is None:
-        max_cycles = default_max_cycles(A, cfg.eps)
-
-    l1 = cfg.criterion == "l1"
+    l1, radix = cfg.criterion == "l1", cfg.radix_rounding
     deg = A.deg.tolist()
-    updates = 0
-    nonzeros = 0 if state is None else A.m  # the pass that built state
-    trajectory = []
+    u = np.zeros(A.n)
+    failed = -1  # the last cycle with an update failing the Parlett test
 
-    def report(cycles, termination):
-        return _final_report(start, u, cycles, updates, nonzeros,
-                             trajectory, termination)
+    def update(k, j):
+        nonlocal failed
+        r, c = osborne_update(A, u, j, radix)
+        if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
+            failed = k
+        if update_hook is not None:
+            update_hook(k, j, r, c)
+        return deg[j]
 
-    def check(parlett_ok):
-        nonlocal nonzeros
-        cert = imbalance(A, u)  # also the Parlett trajectory's sample
-        nonzeros += A.m
-        trajectory.append(TrajectorySample(
-            updates, nonzeros, time.perf_counter_ns() - start,
-            cert.normalized))
-        return cert.normalized <= cfg.eps if l1 else parlett_ok
+    def check(cycles):
+        g = imbalance(A, u).normalized  # also the Parlett trajectory's sample
+        return g, g <= cfg.eps if l1 else failed != cycles - 1, A.m
 
-    if l1 and check(False):
-        return report(0, "converged")
-
-    for k in range(max_cycles):
-        parlett_ok = True
-        for j in cycle_order(k):
-            r, c = osborne_update(A, u, j, cfg.radix_rounding)
-            nonzeros += deg[j]
-            if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
-                parlett_ok = False
-            if update_hook is not None:
-                update_hook(k, j, r, c)
-            if state is not None:
-                nonzeros += state.refresh(j)
-        updates += n
-        if cycle_hook is not None:
-            cycle_hook(k, u)
-        cycles = k + 1
-        if cycles % cfg.check_every == 0:
-            if check(parlett_ok):
-                return report(cycles, "converged")
-            nonzeros += state.resync() if state is not None else 0
-
-    return report(max_cycles, "max_cycles")
+    return drive(A, cfg.strategy, cfg.eps, cfg.max_cycles, update, check,
+                 lambda: u, check_every=cfg.check_every, check_first=l1,
+                 cycle_hook=cycle_hook)

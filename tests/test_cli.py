@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from osbalance import (build_matrix, gen_kalantari, read_matrix_market,
-                       read_scaling, write_matrix_market, write_scaling)
+from osbalance import (SolverConfig, build_matrix, gen_kalantari,
+                       gen_random_sparse, gen_salient, read_matrix_market,
+                       read_scaling, run, write_matrix_market, write_scaling)
 from osbalance.cli import main
 
 
@@ -303,6 +304,50 @@ class TestBench:
                                    "--strategies", "cyclic",
                                    "-o", str(out)])
         assert res.exit_code == 0, res.output
+
+
+    @staticmethod
+    def bench_rows(runner, tmp_path, spec, *extra):
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", spec, "-o", str(out), *extra])
+        assert res.exit_code == 0, res.output
+        with open(out) as fh:
+            return list(csv.DictReader(fh))
+
+    def test_sample_every(self, runner, tmp_path):
+        n = gen_kalantari(10).n
+        rows = self.bench_rows(runner, tmp_path, "kalantari:k=10",
+                               "--eps", "1e-8", "--strategies", "cyclic,greedy",
+                               "--sample-every", "2")
+        assert len(rows) > 4
+        assert all(int(r["updates"]) % (2 * n) == 0 for r in rows)
+
+    @pytest.mark.parametrize("spec, A", [
+        ("salient:n=20,s=3,seed=1", gen_salient(20, 3, seed=1)),
+        ("salient:s=3,lo=0.01", gen_salient(200, 3, lo=0.01)),
+        ("random:n=15,p=0.4,hi=2.5,seed=2",
+         gen_random_sparse(15, 0.4, value_hi=2.5, seed=2)),
+    ])
+    def test_generated_instance_specs(self, runner, tmp_path, spec, A):
+        rows = self.bench_rows(runner, tmp_path, spec, "--eps", "1e-6",
+                               "--strategies", "cyclic")
+        rep = run(A, SolverConfig(eps=1e-6))
+        assert rep.termination == "converged"
+        assert {r["instance"] for r in rows} == {spec}
+        assert [(int(r["updates"]), int(r["nonzeros"])) for r in rows] == \
+            [(s.updates, s.nonzeros) for s in rep.trajectory]
+
+    @pytest.mark.parametrize("spec", ["kalantari:kk=5", "salient:p=0.5",
+                                      "random:s=3", "ring:k=5"])
+    def test_unknown_spec_key_is_a_parse_failure(self, runner, tmp_path,
+                                                 spec):
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", spec, "--strategies", "cyclic",
+                                   "-o", str(out)])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "error: unknown" in res.output
+        assert not out.exists()
 
 
 class TestScalingFiles:

@@ -250,6 +250,16 @@ class TestRunLowbit:
         assert rep.cycles_used == 1
         assert rep.nonzeros_touched == 4 * SYM3.m
 
+    def test_nonzeros_accumulate_over_a_long_run(self):
+        # each cycle reads every entry twice in its updates and twice in
+        # its check; there is no check before the first cycle
+        K = gen_kalantari(40)
+        rep = run_lowbit(K, LowbitConfig(1e-3, K.n))
+        assert rep.termination == "converged"
+        assert [(s.updates, s.nonzeros) for s in rep.trajectory] == \
+            [(K.n * i, 4 * K.m * i) for i in range(1, rep.cycles_used + 1)]
+        assert rep.nonzeros_touched == 4 * K.m * rep.cycles_used == 782136
+
     def test_no_overflow_during_run(self):
         A = dense_instance(8, seed=39)
         cfg = LowbitConfig(1e-2, A.n)

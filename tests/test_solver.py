@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from osbalance import (BalancingError, GreedyState, LowbitConfig,
                        ScalingOverflowError, SolverConfig, Strategy,
-                       WeightedState, build_matrix, gen_kalantari, gen_salient,
-                       gradient, greedy_index, imbalance, osborne_update,
+                       WeightedState, build_matrix, gen_kalantari,
+                       gen_random_sparse, gen_salient, gradient, greedy_index, imbalance, osborne_update,
                        potential, run, run_lowbit, scaled_matrix, stats,
                        theoretical_cycle_bound, weighted_sample)
 from osbalance.core import row_col_sums
@@ -141,6 +141,42 @@ class TestRun:
         assert rep.termination == "max_cycles"
         # one cycle touches every entry twice; the check samples once
         assert rep.nonzeros_touched == sum(deg) + A.m == 3 * A.m
+
+    def test_check_every_reads_the_last_cycle(self):
+        # The Parlett test of a check reads only the cycle just before it,
+        # not every cycle since the previous check.
+        A = gen_random_sparse(30, 0.2, seed=4)
+        for strategy in (Strategy("cyclic"), Strategy("uniform", seed=7),
+                         Strategy("weighted", seed=7), Strategy("greedy")):
+            failed = set()
+
+            def hook(k, j, r, c):
+                if not 2.0 * math.sqrt(r * c) > 0.95 * (r + c):
+                    failed.add(k)
+            rep = run(A, SolverConfig(criterion="parlett", check_every=3,
+                                      strategy=strategy), update_hook=hook)
+            assert rep.termination == "converged"
+            first = next(c for c in range(3, rep.cycles_used + 1, 3)
+                         if c - 1 not in failed)
+            assert rep.cycles_used == first
+            assert failed & {0, 1}, "no earlier failure to tell the two apart"
+
+    def test_check_every_sets_the_sample_cadence(self):
+        A = gen_random_sparse(30, 0.2, seed=4)
+        rep = run(A, SolverConfig(eps=1e-8, check_every=3))
+        assert rep.termination == "converged"
+        assert [s.updates for s in rep.trajectory] == \
+            [3 * A.n * i for i in range(1 + rep.cycles_used // 3)]
+
+    def test_nonzeros_accumulate_per_cycle_and_check(self):
+        # the initial check reads m; each cycle reads every entry twice
+        # in its updates and once more in its check
+        A = gen_kalantari(40)
+        rep = run(A, SolverConfig(eps=1e-8))
+        assert rep.termination == "converged" and rep.cycles_used > 100
+        assert [(s.updates, s.nonzeros) for s in rep.trajectory] == \
+            [(A.n * i, A.m + 3 * A.m * i) for i in range(rep.cycles_used + 1)]
+        assert rep.nonzeros_touched == A.m + 3 * A.m * rep.cycles_used
 
     def test_not_balanceable_reported(self):
         A = build_matrix(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)])
