@@ -37,32 +37,22 @@ def main():
     """Sparse matrix balancing toolkit."""
 
 
+def _fail(message, code=4):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _load(path):
     try:
         return read_matrix_market(path)
     except (OSError, ParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
+        _fail(exc)
 
 
 def _make_strategy(name, seed):
     if name not in STRATEGY_NAMES:
-        click.echo(f"error: unknown strategy {name!r}", err=True)
-        sys.exit(4)
+        _fail(f"unknown strategy {name!r}")
     return Strategy(name, seed=seed)
-
-
-def _report_json(report, st):
-    return {
-        "termination": report.termination,
-        "cycles": report.cycles_used,
-        "updates": report.updates_used,
-        "nonzeros": report.nonzeros_touched,
-        "imbalance": report.trajectory[-1].imbalance if report.trajectory
-                     else None,
-        "kappa": st.kappa if math.isfinite(st.kappa) else "inf",
-        "diameter": st.diameter if math.isfinite(st.diameter) else "inf",
-    }
 
 
 @main.command("balance")
@@ -90,46 +80,55 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
                 precision, radix_rounding, parallel_, workers,
                 sample_every, as_json, base2, output):
     """Balance a MatrixMarket file and write the log-domain scaling."""
-    A = _load(matrix_file)
-    if A.m == 0:
-        click.echo("error: matrix has no off-diagonal entries", err=True)
-        sys.exit(3)
-    if A.dropped:
-        click.echo(f"warning: dropped {A.dropped} diagonal/zero entries",
-                   err=True)
-    st = stats(A)
-    if not st.strongly_connected:
-        click.echo("error: support graph is not strongly connected; the "
-                   "matrix is not balanceable as a whole. Decompose it into "
-                   "strongly connected blocks and balance each separately.",
-                   err=True)
-        sys.exit(3)
-
-    if precision == "lowbit":
-        report = run_lowbit(A, LowbitConfig(eps, A.n),
-                            Strategy("cyclic"), max_cycles=max_cycles)
-    else:
+    unsupported = [option for option, used in (
+        (f"--strategy {strategy}", strategy not in ("cyclic", "shuffled")),
+        (f"--criterion {criterion}", criterion != "l1"),
+        ("--radix-rounding", radix_rounding), ("--parallel", parallel_),
+        (f"--sample-every {sample_every}", sample_every != 1))
+        if used and precision == "lowbit"]
+    if unsupported:
+        _fail(f"low-bit mode does not support {', '.join(unsupported)}")
+    try:
         cfg = SolverConfig(eps=eps, max_cycles=max_cycles,
                            criterion=criterion,
                            strategy=_make_strategy(strategy, seed),
                            radix_rounding=radix_rounding,
                            check_every=sample_every)
-        try:
-            if parallel_:
-                report = run_parallel(A, greedy_color(A), cfg,
-                                      workers=workers)
-            else:
-                report = run(A, cfg)
-        except ScalingOverflowError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
+    except ValueError as exc:
+        _fail(exc)
+    A = _load(matrix_file)
+    if A.dropped:
+        click.echo(f"warning: dropped {A.dropped} diagonal/zero entries",
+                   err=True)
+    if not A.strongly_connected():
+        _fail("support graph is not strongly connected; the matrix is not "
+              "balanceable as a whole. Decompose it into strongly connected "
+              "blocks (scc_decompose) and balance each separately.", code=3)
+
+    try:
+        if precision == "lowbit":
+            report = run_lowbit(A, LowbitConfig(eps, A.n), cfg.strategy,
+                                max_cycles=max_cycles)
+        elif parallel_:
+            report = run_parallel(A, greedy_color(A), cfg, workers=workers)
+        else:
+            report = run(A, cfg)
+    except ScalingOverflowError as exc:
+        _fail(exc)
 
     out = output or matrix_file + ".u"
     write_scaling(out, report.u_final, base2=base2)
+    final = report.trajectory[-1].imbalance if report.trajectory else None
     if as_json:
-        click.echo(json.dumps(_report_json(report, st)))
+        st = stats(A)
+        click.echo(json.dumps({
+            "termination": report.termination, "cycles": report.cycles_used,
+            "updates": report.updates_used,
+            "nonzeros": report.nonzeros_touched, "imbalance": final,
+            "kappa": st.kappa if math.isfinite(st.kappa) else "inf",
+            "diameter": st.diameter if math.isfinite(st.diameter) else "inf",
+        }))
     else:
-        final = report.trajectory[-1].imbalance if report.trajectory else None
         click.echo(f"termination: {report.termination}")
         click.echo(f"cycles: {report.cycles_used}  "
                    f"updates: {report.updates_used}  "
@@ -173,8 +172,7 @@ def cmd_gen(kind, k, n, s, p, lo, hi, seed, output):
     try:
         A, params = _generate(kind, k, n, s, p, lo, hi, seed)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
+        _fail(exc)
     write_matrix_market(output, A, comments=[
         f"generator: {kind} {params}",
         f"toolkit: osbalance {__version__}",
@@ -209,17 +207,13 @@ def cmd_verify(matrix_file, scaling_file, eps):
     try:
         u = read_scaling(scaling_file)
     except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
+        _fail(exc)
     if len(u) != A.n:
-        click.echo(f"error: scaling has {len(u)} entries, matrix has {A.n}",
-                   err=True)
-        sys.exit(4)
+        _fail(f"scaling has {len(u)} entries, matrix has {A.n}")
     try:
         cert = imbalance(A, u)
     except ScalingOverflowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc, code=1)
     click.echo(f"l1_gradient_norm: {cert.l1_gradient_norm}")
     click.echo(f"potential: {cert.potential}")
     click.echo(f"normalized: {cert.normalized}")
@@ -266,8 +260,7 @@ def cmd_bench(instance_spec, strategies, eps, seed, max_cycles, sample_every,
     try:
         name, A = _parse_instance_spec(instance_spec)
     except (OSError, ParseError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
+        _fail(exc)
     names = [s.strip() for s in strategies.split(",") if s.strip()]
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -40,7 +40,7 @@ class SparseNonnegMatrix:
 
     __slots__ = ("n", "m", "coo_rows", "coo_cols", "coo_vals", "inc_ptr",
                  "inc_idx", "inc_val", "inc_sign", "out_deg", "deg",
-                 "dropped")
+                 "dropped", "_strong")
 
     def __init__(self, n, rows, cols, vals, dropped=0):
         # rows/cols/vals must already be canonical: diagonal-free,
@@ -51,6 +51,7 @@ class SparseNonnegMatrix:
         self.coo_cols = np.asarray(cols, dtype=np.intp)
         self.coo_vals = np.asarray(vals, dtype=np.float64)
         self.dropped = dropped
+        self._strong = None
 
         # Incidence k < m is entry k seen from its row, k >= m entry k - m
         # from its column; a stable sort by (owner, part) keeps each part
@@ -94,9 +95,32 @@ class SparseNonnegMatrix:
         dense[self.coo_rows, self.coo_cols] = self.coo_vals
         return dense
 
-    def has_empty_line(self):
-        """True if some row or column stores no entry at all."""
-        return bool(np.any((self.out_deg == 0) | (self.out_deg == self.deg)))
+    def strongly_connected(self):
+        """True iff m > 0 and vertex 0 reaches every vertex along row
+        entries and along column entries: the one condition under which
+        the matrix is balanceable (Kalantari, Khachiyan & Shokoufandeh
+        1997).  Searched on the first call and cached."""
+        if self._strong is None:
+            self._strong = self.m > 0 and _reaches_all_both_ways(self)
+        return self._strong
+
+
+def _reaches_all_both_ways(A):
+    """Searches from vertex 0 along row, then column incidences."""
+    ptr, nbr = A.inc_ptr.tolist(), A.inc_idx.tolist()
+    mid = (A.inc_ptr[:-1] + A.out_deg).tolist()
+    for lo, hi in ((ptr, mid), (mid, ptr[1:])):
+        seen = [False] * A.n
+        seen[0] = True
+        reached = [0]
+        for v in reached:  # grows while it is walked
+            for w in nbr[lo[v]:hi[v]]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached.append(w)
+        if len(reached) < A.n:
+            return False
+    return True
 
 
 def build_matrix(n, triplets):
@@ -151,7 +175,12 @@ def row_col_sums_at(A, u, j):
             f"row or column {j} is empty; the matrix is not balanceable "
             f"(consider scc_decompose)")
     w = np.exp((u[j] - u[A.inc_idx[lo:hi]]) * A.inc_sign[lo:hi])
-    r, c = np.add.reduceat(w * A.inc_val[lo:hi], [0, split]).tolist()
+    return finite_sums(*np.add.reduceat(w * A.inc_val[lo:hi],
+                                        [0, split]).tolist())
+
+
+def finite_sums(r, c):
+    """(r, c) if both sums lie in (0, inf); ScalingOverflowError if not."""
     if not (0.0 < r < math.inf and 0.0 < c < math.inf):
         raise ScalingOverflowError("row/column sum overflowed or underflowed")
     return r, c

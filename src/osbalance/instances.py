@@ -1,9 +1,9 @@
 """Instance generators, balanceability analysis and cycle-bound formulas.
 
 All generators take explicit seeds and are reproducible.  The diameter
-computation is deliberately naive (BFS from every vertex, O(n*m)); at
-the desk scale this toolkit targets that is acceptable and doubles as a
-reference for tests.
+computation is deliberately naive (BFS from every vertex, O(n*m)); only
+``stats`` runs it, so only ``osbalance stats`` and ``balance --json``
+pay for it, after the run.
 """
 
 from __future__ import annotations
@@ -96,20 +96,17 @@ def gen_random_sparse(n, p, value_lo=0.0, value_hi=1.0, seed=0):
 
 
 def _bfs_ecc(adj, source, n):
-    """Eccentricity of source over directed adjacency lists; -1 if not
-    all vertices are reachable."""
+    """Eccentricity of source over directed adjacency lists that reach
+    every vertex from it."""
     dist = [-1] * n
     dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return -1 if min(dist) < 0 else max(dist)
+    order = [source]
+    for v in order:  # a queue: grows while it is walked
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist[order[-1]]
 
 
 def log2_kappa(A):
@@ -128,13 +125,12 @@ def stats(A):
     with np.errstate(over="ignore"):
         kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
     max_degree = max(len(A.neighbors(j)) for j in range(A.n))
-    fwd, rev = A.split_incidence(A.inc_idx.tolist())
-    if _bfs_ecc(fwd, 0, A.n) < 0 or _bfs_ecc(rev, 0, A.n) < 0:
-        diameter = math.inf
-    else:
+    diameter = math.inf
+    if A.strongly_connected():
+        fwd = A.split_incidence(A.inc_idx.tolist())[0]
         diameter = float(max(_bfs_ecc(fwd, v, A.n) for v in range(A.n)))
     return InstanceStats(A.n, A.m, kappa, log2_kappa(A), diameter,
-                         math.isfinite(diameter), max_degree)
+                         A.strongly_connected(), max_degree)
 
 
 def scc_decompose(A):

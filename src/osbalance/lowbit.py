@@ -174,8 +174,6 @@ def lowbit_update(state, j, cfg=None):
     sums, hence the applied ratio e**delta matches sqrt(c/r) to
     relative gamma_prime.
     """
-    if not state.row_nbr[j] or not state.col_nbr[j]:
-        raise ValueError(f"row or column {j} is empty")
     r_log, c_log = state.sums_log(j)
     delta = state.ctx.half(c_log - r_log)
     state.u[j] = state.ctx._check(state.u[j] + delta)
@@ -209,7 +207,8 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     """Cyclic-family balancing run entirely in the fixed-point domain.
 
     After every cycle the inexact verifier is consulted.  Trajectory
-    samples carry the verifier's imbalance estimate.
+    samples carry the verifier's imbalance estimate.  A support that is
+    not strongly connected ends at once as ``not_balanceable``.
     """
     strategy = strategy or Strategy("cyclic")
     if strategy.kind not in ("cyclic", "shuffled", "fixed"):

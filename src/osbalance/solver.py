@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NotBalanceableError, ScalingOverflowError, imbalance,
-                   row_col_sums, row_col_sums_at)
+from .core import (NotBalanceableError, finite_sums, imbalance, row_col_sums,
+                   row_col_sums_at)
 from .instances import explicit_cycle_bound, log2_kappa
 
 LN2 = math.log(2.0)
@@ -94,7 +94,8 @@ class BalanceReport:
 
 
 def default_max_cycles(A, eps):
-    """Four times the explicit worst-case cycle bound; A must have an entry."""
+    """Four times the explicit worst-case cycle bound, which holds for
+    the strongly connected supports drive() runs."""
     return 4 * explicit_cycle_bound(log2_kappa(A), eps)
 
 
@@ -127,21 +128,18 @@ class _Fenwick:
         self.n = len(weights)
         self.tree = [0.0] * (self.n + 1)
         self.weights = [0.0] * self.n
-        self._total = 0.0
+        self.total = 0.0
         for i, w in enumerate(weights):
             self.set(i, w)
 
     def set(self, i, w):
         delta = w - self.weights[i]
         self.weights[i] = w
-        self._total += delta
+        self.total += delta
         k = i + 1
         while k <= self.n:
             self.tree[k] += delta
             k += k & (-k)
-
-    def total(self):
-        return self._total
 
     def find(self, x):
         """Smallest i with prefix-sum(0..i) > x."""
@@ -160,8 +158,8 @@ class _KeptSums:
     """Row and column sums r, c of the iterate, kept as Python lists next
     to a mirror of u and updated in O(deg j) after an update of j.  A
     neighbor's sum moves by the change of the shared entry, unless that
-    would cancel more than half of it: then it is recomputed from its
-    own entries.  resync() recomputes all sums, bounding the drift."""
+    would cancel more than half of it: then row_col_sums_at recomputes
+    it.  resync() recomputes all sums, bounding the drift."""
 
     def __init__(self, A, u):
         self.A, self.u = A, u
@@ -176,20 +174,6 @@ class _KeptSums:
         self.r, self.c, self.mirror = r.tolist(), c.tolist(), self.u.tolist()
         self._rebuild()
         return self.A.m
-
-    def _exact(self, i):
-        """Recompute r_i and c_i from i's own entries; returns deg(i)."""
-        ui, mirror, exp = self.mirror[i], self.mirror, math.exp
-        row, col = self.row_nbr[i], self.col_nbr[i]
-        try:
-            r = sum([v * exp(ui - mirror[k])
-                     for k, v in zip(row, self.row_val[i])])
-            c = sum([v * exp(mirror[k] - ui)
-                     for k, v in zip(col, self.col_val[i])])
-        except OverflowError:
-            r = c = math.inf
-        self.r[i], self.c[i] = _finite_sums(r, c)
-        return len(row) + len(col)
 
     def _resum(self, j):
         """Bring the sums up to date after an update of j; returns the
@@ -219,19 +203,14 @@ class _KeptSums:
                 r[i] = new = old + w * up
                 if not 0.5 * old <= new < inf:
                     guarded.append(i)
-            r[j], c[j] = _finite_sums(rj, cj)
+            r[j], c[j] = finite_sums(rj, cj)
         except OverflowError:  # delta or an entry out of range: no shortcut
             guarded = [j, *row, *col]
         nonzeros = len(row) + len(col)
-        for i in set(guarded):
-            nonzeros += self._exact(i)
+        for i in set(guarded):  # recomputed from i's own entries
+            r[i], c[i] = row_col_sums_at(self.A, self.u, i)
+            nonzeros += len(self.row_nbr[i]) + len(self.col_nbr[i])
         return nonzeros, {j, *row, *col}
-
-
-def _finite_sums(r, c):
-    if not (0.0 < r < math.inf and 0.0 < c < math.inf):
-        raise ScalingOverflowError("row/column sum overflowed or underflowed")
-    return r, c
 
 
 class WeightedState(_KeptSums):
@@ -256,7 +235,7 @@ class WeightedState(_KeptSums):
 
 def weighted_sample(state, rng):
     """Draw an index with probability proportional to its weight."""
-    total = state.fen.total()
+    total = state.fen.total
     if total <= 0:
         raise NotBalanceableError("all sampling weights are zero")
     return state.fen.find(rng.random() * total)
@@ -337,6 +316,8 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
           check_every=1, check_first=False, cycle_hook=None):
     """The cycle loop of every run: exact, color-class and low-bit.
 
+    A support that is not strongly connected ends at once as
+    ``not_balanceable``; balance its ``scc_decompose`` blocks instead.
     update(k, j) updates index j in cycle k and returns the nonzeros it
     read.  check(cycles) returns (imbalance sample, converged, nonzeros
     read) every check_every cycles, and before the first if check_first;
@@ -346,9 +327,6 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
     after every check that does not end the run.
     """
     n, start = A.n, time.perf_counter_ns()
-    kept = {"weighted": WeightedState, "greedy": GreedyState}.get(strategy.kind)
-    state = kept(A, iterate()) if kept else None
-    cycle_order = order_source(strategy, n, state)
     updates, nonzeros, trajectory = 0, 0, []
 
     def report(u, cycles, termination):
@@ -356,8 +334,11 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
                              (time.perf_counter_ns() - start) / 1e9,
                              trajectory, termination)
 
-    if A.m == 0 or A.has_empty_line():
+    if not A.strongly_connected():
         return report(np.zeros(n), 0, "not_balanceable")
+    kept = {"weighted": WeightedState, "greedy": GreedyState}.get(strategy.kind)
+    state = kept(A, iterate()) if kept else None
+    cycle_order = order_source(strategy, n, state)
     if max_cycles is None:
         max_cycles = default_max_cycles(A, eps)
     nonzeros = 0 if state is None else A.m  # the pass that built state
@@ -398,7 +379,8 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     every cfg.check_every cycles; the practical criterion requires
     2 sqrt(r_j c_j) > 0.95 (r_j + c_j) for the pre-update sums of every
     update in the last completed cycle.  The trajectory records one
-    sample per termination check.
+    sample per termination check.  A support that is not strongly
+    connected ends at once as ``not_balanceable``.
 
     update_hook(cycle, j, r_before, c_before) and cycle_hook(cycle, u)
     are instrumentation-only callbacks; they do not affect the run.

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from osbalance import (SolverConfig, build_matrix, gen_kalantari,
-                       gen_random_sparse, gen_salient, read_matrix_market,
-                       read_scaling, run, write_matrix_market, write_scaling)
+import osbalance.cli
+import osbalance.core
+from osbalance import (LowbitConfig, SolverConfig, Strategy, build_matrix,
+                       gen_kalantari, gen_random_sparse, gen_salient,
+                       read_matrix_market, read_scaling, run, run_lowbit,
+                       write_matrix_market, write_scaling)
 from osbalance.cli import main
 
 
@@ -86,6 +89,73 @@ class TestBalance:
             ver = runner.invoke(main, ["verify", str(mtx), str(out),
                                        "--eps", eps])
             assert ver.exit_code == 0, ver.output
+
+    @pytest.mark.parametrize("strategy", ["cyclic", "shuffled"])
+    def test_lowbit_strategy_and_seed_are_passed(self, runner, tmp_path,
+                                                 strategy):
+        mtx, out = tmp_path / "k.mtx", tmp_path / "k.u"
+        write_matrix_market(mtx, gen_kalantari(3))
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-3",
+                                   "--precision", "lowbit", "--strategy",
+                                   strategy, "--seed", "5", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        A = read_matrix_market(mtx)
+        rep = run_lowbit(A, LowbitConfig(1e-3, A.n),
+                         Strategy(strategy, seed=5))
+        assert read_scaling(out).tolist() == rep.u_final.tolist()
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--strategy", "bogus"], "unknown strategy 'bogus'"),
+        (["--strategy", "bogus", "--precision", "lowbit"],
+         "--strategy bogus"),
+        (["--strategy", "greedy", "--precision", "lowbit"],
+         "--strategy greedy"),
+        (["--strategy", "uniform", "--precision", "lowbit"],
+         "--strategy uniform"),
+        (["--strategy", "weighted", "--precision", "lowbit"],
+         "--strategy weighted"),
+        (["--criterion", "parlett", "--precision", "lowbit"],
+         "--criterion parlett"),
+        (["--radix-rounding", "--precision", "lowbit"], "--radix-rounding"),
+        (["--parallel", "--precision", "lowbit"], "--parallel"),
+        (["--sample-every", "2", "--precision", "lowbit"],
+         "--sample-every 2"),
+        (["--eps", "2"], "eps must lie in (0, 1)"),
+        (["--sample-every", "0"], "check_every must be at least 1"),
+    ])
+    def test_rejected_options_exit_4(self, runner, tmp_path, extra, named):
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(3))
+        res = runner.invoke(main, ["balance", str(mtx),
+                                   "-o", str(tmp_path / "k.u")] + extra)
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: " in res.output and named in res.output
+
+    def test_stats_only_for_json(self, runner, tmp_path, monkeypatch):
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(3))
+        called = []
+        monkeypatch.setattr(osbalance.cli, "stats", called.append)
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-4",
+                                   "-o", str(tmp_path / "k.u")])
+        assert res.exit_code == 0, res.output
+        assert called == []
+
+    def test_json_searches_the_support_once(self, runner, tmp_path,
+                                            monkeypatch):
+        # cmd_balance, the driver and stats all read the one answer.
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(3))
+        calls = []
+        search = osbalance.core._reaches_all_both_ways
+        monkeypatch.setattr(osbalance.core, "_reaches_all_both_ways",
+                            lambda A: calls.append(A) or search(A))
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-4",
+                                   "--json", "-o", str(tmp_path / "k.u")])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["diameter"] == 3
+        assert len(calls) == 1
 
     def test_base2_scaling_output(self, runner, tmp_path):
         mtx = tmp_path / "a.mtx"

@@ -5,10 +5,11 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import osbalance.core
 from osbalance import (NotBalanceableError, ScalingOverflowError,
-                       SolverConfig, Strategy, build_matrix, gradient,
-                       imbalance, potential, row_col_sums_at, run,
-                       scaled_matrix, stats, verify_balance)
+                       SolverConfig, Strategy, build_matrix, gen_kalantari,
+                       gradient, imbalance, potential, row_col_sums_at, run,
+                       scaled_matrix, scc_decompose, stats, verify_balance)
 from osbalance.core import row_col_sums
 from conftest import (dense_gradient, dense_instance, dense_potential,
                       dense_row_col)
@@ -78,9 +79,32 @@ class TestBuildMatrix:
             r, c = row_col_sums_at(A, u, j)
             assert abs(r - r_all[j]) <= 1e-15 * r_all[j]
             assert abs(c - c_all[j]) <= 1e-15 * c_all[j]
-        assert A.has_empty_line() == any(
-            A.deg[j] == 0 or not rows_idx[j] or not cols_idx[j]
-            for j in range(n))
+
+
+class TestStronglyConnected:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 min_size=1, max_size=3 * n))))
+    def test_matches_scc_decompose(self, case):
+        n, pairs = case
+        A = build_matrix(n, [(i, j, 1.0) for i, j in pairs])
+        if A.m == 0:  # every pair was on the diagonal
+            assert not A.strongly_connected()
+            return
+        assert A.strongly_connected() == (len(scc_decompose(A)[0]) == 1)
+
+    def test_searched_once_per_matrix(self, monkeypatch):
+        calls = []
+        search = osbalance.core._reaches_all_both_ways
+        monkeypatch.setattr(osbalance.core, "_reaches_all_both_ways",
+                            lambda A: calls.append(A) or search(A))
+        A = gen_kalantari(5)
+        for strategy in (Strategy("cyclic"), Strategy("greedy")):
+            run(A, SolverConfig(eps=1e-4, strategy=strategy))
+        assert stats(A).strongly_connected and A.strongly_connected()
+        assert calls == [A]
 
 
 class TestRowColSums:

@@ -9,7 +9,8 @@ from osbalance import (BalancingError, GreedyState, LowbitConfig,
                        ScalingOverflowError, SolverConfig, Strategy,
                        WeightedState, build_matrix, gen_kalantari,
                        gen_random_sparse, gen_salient, gradient, greedy_index, imbalance, osborne_update,
-                       potential, run, run_lowbit, scaled_matrix, stats,
+                       greedy_color, potential, run, run_lowbit,
+                       run_parallel, scaled_matrix, stats,
                        theoretical_cycle_bound, weighted_sample)
 from osbalance.core import row_col_sums
 from osbalance.solver import cycle_rng, default_max_cycles
@@ -452,3 +453,35 @@ def test_cycle_rng_streams_are_reproducible():
     c = cycle_rng(7, 4).integers(0, 1000, size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# Not strongly connected: 0<->1 and 2<->3, joined one way by 1->2
+# (reducible), or not at all (block diagonal).
+REDUCIBLE4 = [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0),
+              (1, 2, 1.0)]
+BLOCKS4 = REDUCIBLE4[:4]
+
+
+@pytest.mark.parametrize("triplets", [REDUCIBLE4, BLOCKS4],
+                         ids=["reducible", "block_diagonal"])
+class TestNotBalanceable:
+    @pytest.mark.parametrize("strategy", [
+        Strategy("cyclic"), Strategy("shuffled", seed=1),
+        Strategy("uniform", seed=1), Strategy("weighted", seed=1),
+        Strategy("greedy"), Strategy("fixed", order=(3, 2, 1, 0))],
+        ids=lambda s: s.kind)
+    def test_run(self, triplets, strategy):
+        rep = run(build_matrix(4, triplets),
+                  SolverConfig(eps=1e-6, max_cycles=50, strategy=strategy))
+        assert (rep.termination, rep.updates_used) == ("not_balanceable", 0)
+
+    def test_run_parallel(self, triplets):
+        A = build_matrix(4, triplets)
+        rep = run_parallel(A, greedy_color(A),
+                           SolverConfig(eps=1e-6, max_cycles=50))
+        assert (rep.termination, rep.updates_used) == ("not_balanceable", 0)
+
+    def test_run_lowbit(self, triplets):
+        A = build_matrix(4, triplets)
+        rep = run_lowbit(A, LowbitConfig(1e-3, A.n), max_cycles=50)
+        assert (rep.termination, rep.updates_used) == ("not_balanceable", 0)
