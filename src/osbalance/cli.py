@@ -80,6 +80,8 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
                 precision, radix_rounding, parallel_, workers,
                 sample_every, as_json, base2, output):
     """Balance a MatrixMarket file and write the log-domain scaling."""
+    if sample_every < 1:
+        _fail("--sample-every must be at least 1")
     unsupported = [option for option, used in (
         (f"--strategy {strategy}", strategy not in ("cyclic", "shuffled")),
         (f"--criterion {criterion}", criterion != "l1"),

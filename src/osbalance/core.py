@@ -73,11 +73,16 @@ class SparseNonnegMatrix:
         self.inc_sign = 1 - 2 * col_part.view(np.int8)
         self.out_deg = np.bincount(self.coo_rows, minlength=self.n)
 
+    def incidence_bounds(self):
+        """Lists (ptr, mid): in a flat sequence with one item per
+        incidence, such as ``inc_idx.tolist()``, vertex j's row part is
+        ``[ptr[j]:mid[j]]`` and its column part ``[mid[j]:ptr[j + 1]]``."""
+        return self.inc_ptr.tolist(), (self.inc_ptr[:-1]
+                                       + self.out_deg).tolist()
+
     def split_incidence(self, flat):
-        """Per-vertex (row part, column part) lists of a flat sequence
-        with one item per incidence, such as ``inc_idx.tolist()``."""
-        ptr = self.inc_ptr.tolist()
-        mid = (self.inc_ptr[:-1] + self.out_deg).tolist()
+        """Per-vertex (row part, column part) lists of such a sequence."""
+        ptr, mid = self.incidence_bounds()
         return ([flat[ptr[j]:mid[j]] for j in range(self.n)],
                 [flat[mid[j]:ptr[j + 1]] for j in range(self.n)])
 
@@ -85,10 +90,6 @@ class SparseNonnegMatrix:
         """Iterate over (row, col, value) in canonical (row, col) order."""
         for i, j, v in zip(self.coo_rows, self.coo_cols, self.coo_vals):
             yield int(i), int(j), float(v)
-
-    def neighbors(self, j):
-        """Distinct vertices adjacent to j in the undirected support."""
-        return np.unique(self.inc_idx[self.inc_ptr[j]:self.inc_ptr[j + 1]])
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
@@ -107,20 +108,28 @@ class SparseNonnegMatrix:
 
 def _reaches_all_both_ways(A):
     """Searches from vertex 0 along row, then column incidences."""
-    ptr, nbr = A.inc_ptr.tolist(), A.inc_idx.tolist()
-    mid = (A.inc_ptr[:-1] + A.out_deg).tolist()
-    for lo, hi in ((ptr, mid), (mid, ptr[1:])):
-        seen = [False] * A.n
-        seen[0] = True
-        reached = [0]
-        for v in reached:  # grows while it is walked
-            for w in nbr[lo[v]:hi[v]]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached.append(w)
-        if len(reached) < A.n:
-            return False
-    return True
+    nbr, (ptr, mid) = A.inc_idx.tolist(), A.incidence_bounds()
+    return all(len(bfs(nbr, lo, hi, 0, [-1] * A.n)) == A.n
+               for lo, hi in ((ptr, mid), (mid, ptr[1:])))
+
+
+def bfs(nbr, lo, hi, source, depth):
+    """Breadth-first search from source along ``nbr[lo[v]:hi[v]]`` that
+    skips vertices whose depth is set (not -1).  Sets the depth of each
+    vertex it reaches and returns them in the order reached; stops as
+    soon as every vertex has been reached."""
+    depth[source] = 0
+    order = [source]
+    everyone = len(depth)
+    for v in order:  # a queue: grows while it is walked
+        if len(order) == everyone:
+            break
+        d = depth[v] + 1
+        for w in nbr[lo[v]:hi[v]]:
+            if depth[w] < 0:
+                depth[w] = d
+                order.append(w)
+    return order
 
 
 def build_matrix(n, triplets):

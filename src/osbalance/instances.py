@@ -1,9 +1,10 @@
 """Instance generators, balanceability analysis and cycle-bound formulas.
 
 All generators take explicit seeds and are reproducible.  The diameter
-computation is deliberately naive (BFS from every vertex, O(n*m)); only
-``stats`` runs it, so only ``osbalance stats`` and ``balance --json``
-pay for it, after the run.
+is one ``core.bfs`` from every vertex.  Each search stops once every
+vertex has been reached, so a complete support costs O(n*deg) in all,
+but a sparse one still costs O(n*m); only ``stats`` runs it, so only
+``osbalance stats`` and ``balance --json`` pay for it, after the run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BalancingError, SparseNonnegMatrix, build_matrix
+from .core import BalancingError, SparseNonnegMatrix, bfs, build_matrix
 
 
 @dataclass(frozen=True)
@@ -95,20 +96,6 @@ def gen_random_sparse(n, p, value_lo=0.0, value_hi=1.0, seed=0):
     return SparseNonnegMatrix(n, rows, cols, vals[rows, cols])
 
 
-def _bfs_ecc(adj, source, n):
-    """Eccentricity of source over directed adjacency lists that reach
-    every vertex from it."""
-    dist = [-1] * n
-    dist[source] = 0
-    order = [source]
-    for v in order:  # a queue: grows while it is walked
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    return dist[order[-1]]
-
-
 def log2_kappa(A):
     """log2 of kappa = (sum of entries) / (min entry), formed without the
     ratio so that it stays finite where kappa itself overflows."""
@@ -124,11 +111,16 @@ def stats(A):
         raise BalancingError("stats of an empty matrix are undefined")
     with np.errstate(over="ignore"):
         kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
-    max_degree = max(len(A.neighbors(j)) for j in range(A.n))
+    nbr, (ptr, mid) = A.inc_idx.tolist(), A.incidence_bounds()
+    max_degree = max(len(set(nbr[ptr[j]:ptr[j + 1]])) for j in range(A.n))
     diameter = math.inf
     if A.strongly_connected():
-        fwd = A.split_incidence(A.inc_idx.tolist())[0]
-        diameter = float(max(_bfs_ecc(fwd, v, A.n) for v in range(A.n)))
+        # Eccentricity of s: the depth of the last vertex reached from s.
+        ecc = []
+        for s in range(A.n):
+            depth = [-1] * A.n
+            ecc.append(depth[bfs(nbr, ptr, mid, s, depth)[-1]])
+        diameter = float(max(ecc))
     return InstanceStats(A.n, A.m, kappa, log2_kappa(A), diameter,
                          A.strongly_connected(), max_degree)
 
@@ -144,40 +136,36 @@ def scc_decompose(A):
     component each, sources first.
     """
     n = A.n
-    fwd, rev = A.split_incidence(A.inc_idx.tolist())
+    nbr, (ptr, mid) = A.inc_idx.tolist(), A.incidence_bounds()
     seen = [False] * n
     finished = []
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
-        stack = [(root, iter(fwd[root]))]
+        stack = [(root, iter(nbr[ptr[root]:mid[root]]))]
         while stack:
             v, rest = stack[-1]
             for w in rest:
                 if not seen[w]:
                     seen[w] = True
-                    stack.append((w, iter(fwd[w])))
+                    stack.append((w, iter(nbr[ptr[w]:mid[w]])))
                     break
             else:
                 stack.pop()
                 finished.append(v)
 
-    comp_of = [-1] * n
+    depth = [-1] * n  # shared: a vertex already in a component is skipped
+    end = ptr[1:]
+    comp_of = [0] * n
     pos = [0] * n
     comps = []
     for root in reversed(finished):
-        if comp_of[root] >= 0:
+        if depth[root] >= 0:
             continue
-        comp_of[root] = len(comps)
-        comp = [root]
-        for v in comp:  # grows while it is walked
-            for w in rev[v]:
-                if comp_of[w] < 0:
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-        comps.append(sorted(comp))
+        comps.append(sorted(bfs(nbr, mid, end, root, depth)))
         for p, v in enumerate(comps[-1]):
+            comp_of[v] = len(comps) - 1
             pos[v] = p
 
     per_block = [[] for _ in comps]

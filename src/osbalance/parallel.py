@@ -63,10 +63,9 @@ def validate_coloring(A, coloring):
 
 def color_class_order(coloring):
     """Vertex lists of each color class, ascending by color index."""
-    classes = [[] for _ in range(coloring.num_colors)]
-    for v, c in enumerate(coloring.colors):
-        classes[int(c)].append(v)
-    return classes
+    sizes = np.bincount(coloring.colors, minlength=coloring.num_colors)
+    return [cls.tolist() for cls in np.split(
+        np.argsort(coloring.colors, kind="stable"), np.cumsum(sizes)[:-1])]
 
 
 def run_parallel(A, coloring, cfg, workers=1):

@@ -121,7 +121,7 @@ class TestBalance:
         (["--sample-every", "2", "--precision", "lowbit"],
          "--sample-every 2"),
         (["--eps", "2"], "eps must lie in (0, 1)"),
-        (["--sample-every", "0"], "check_every must be at least 1"),
+        (["--sample-every", "0"], "--sample-every must be at least 1"),
     ])
     def test_rejected_options_exit_4(self, runner, tmp_path, extra, named):
         mtx = tmp_path / "k.mtx"

@@ -66,8 +66,6 @@ class TestBuildMatrix:
             assert rows_sign[j] == [1] * len(row)
             assert cols_sign[j] == [-1] * len(col)
             assert A.deg[j] == len(row) + len(col)
-            assert A.neighbors(j).tolist() == sorted(
-                {b for b, _ in row} | {a for a, _ in col})
             if not row or not col:
                 with pytest.raises(NotBalanceableError):
                     row_col_sums_at(A, u, j)

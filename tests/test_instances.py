@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from osbalance import (SolverConfig, build_matrix, gen_kalantari,
+from hypothesis import given, settings, strategies as st
+
+from osbalance import (BalancingError, SolverConfig, build_matrix,
+                       gen_kalantari,
                        gen_random_sparse, gen_salient, lp_reduce, run,
                        scaled_matrix, scc_decompose, stats,
                        theoretical_cycle_bound, verify_balance)
@@ -177,6 +180,69 @@ class TestSccDecompose:
             rep = run(sub, SolverConfig(eps=1e-8))
             if rep.termination == "converged":
                 assert verify_balance(sub, rep.u_final, 1e-8)
+
+
+@st.composite
+def supports(draw):
+    """(n, off-diagonal pairs): random, complete, one- or two-way ring,
+    or two complete blocks with no entry between them, relabelled."""
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["random", "complete", "ring", "split"]))
+    if shape == "random":
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=3 * n))
+    elif shape == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    elif shape == "ring":
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+        if draw(st.booleans()):
+            pairs += [(j, i) for i, j in pairs]
+    else:
+        k = draw(st.integers(1, max(1, n - 1)))
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if (i < k) == (j < k)]
+    label = draw(st.permutations(range(n)))
+    return n, [(label[i], label[j]) for i, j in pairs]
+
+
+class TestSupportGraphOracle:
+    """Connectivity, stats and scc_decompose against Floyd-Warshall on
+    the dense boolean adjacency."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(supports())
+    def test_matches_dense_reference(self, case):
+        n, pairs = case
+        A = build_matrix(n, [(i, j, 1.0) for i, j in pairs])
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in pairs:
+            adj[i, j] = i != j
+        dist = np.where(adj, 1.0, math.inf)
+        np.fill_diagonal(dist, 0.0)
+        for k in range(n):
+            dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
+        strong = A.m > 0 and bool(np.isfinite(dist).all())
+        assert A.strongly_connected() == strong
+
+        if A.m == 0:
+            with pytest.raises(BalancingError):
+                stats(A)
+        else:
+            got = stats(A)
+            assert isinstance(got.diameter, float)
+            assert got.diameter == (dist.max() if strong else math.inf)
+            assert got.max_degree == (adj | adj.T).sum(axis=1).max()
+
+        mutual = np.isfinite(dist) & np.isfinite(dist.T)
+        want = {frozenset(np.flatnonzero(row).tolist()) for row in mutual}
+        blocks, cross = scc_decompose(A)
+        got = [frozenset(verts) for verts, _ in blocks]
+        assert len(got) == len(want) and set(got) == want
+        assert all(list(verts) == sorted(verts) for verts, _ in blocks)
+        block_of = {v: b for b, verts in enumerate(got) for v in verts}
+        assert all(block_of[i] < block_of[j] for i, j, _ in cross)
+        assert sum(sub.m for _, sub in blocks) + len(cross) == A.m
 
 
 class TestLpReduce:
