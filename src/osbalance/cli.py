@@ -1,16 +1,18 @@
 """Command-line surface: balance, gen, stats, verify, bench.
 
-Exit codes for ``balance``: 0 converged, 2 max cycles reached, 3 not
-balanceable, 4 parse/parameter failure or a scaled row/column sum that
-overflowed during the run (printed as ``error: ...``).  ``verify``
-exits 0 when the scaling meets the tolerance, 1 otherwise (also when
-the scaled matrix overflows) and 4 when the scaling file cannot be read.
+Exit codes: 0 success; 1 ``verify``: the scaling misses eps or the
+scaled matrix overflows; 2 ``balance``: max cycles reached; 3
+``balance``: not balanceable; 4 any command: a usage error (with click's
+usage text), a file that cannot be read or written, or a rejected input
+or parameter, also a row/column sum that overflowed during a run
+(printed as ``error: ...``).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
 import math
 import sys
@@ -31,28 +33,50 @@ STRATEGY_NAMES = tuple(k for k in STRATEGY_KINDS if k != "fixed")
 _EXIT = {"converged": 0, "max_cycles": 2, "not_balanceable": 3}
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Sparse matrix balancing toolkit."""
-
-
 def _fail(message, code=4):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _load(path):
-    try:
-        return read_matrix_market(path)
-    except (OSError, ParseError) as exc:
-        _fail(exc)
+class _Main(click.Group):
+    """The one error surface.  A usage error, an OSError (a file that
+    cannot be read or written) and a ValueError (every package error and
+    config check) exit 4; anything else is a bug and keeps its traceback."""
+
+    def make_context(self, *args, **kwargs):
+        return self._guard(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return self._guard(super().invoke, ctx)
+
+    @staticmethod
+    def _guard(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 4  # click still prints the usage text
+            raise
+        except (OSError, ValueError) as exc:
+            if getattr(exc, "errno", None) == errno.EPIPE:
+                raise  # a closed stdout: click exits 1 quietly
+            _fail(exc)
 
 
-def _make_strategy(name, seed):
-    if name not in STRATEGY_NAMES:
-        _fail(f"unknown strategy {name!r}")
-    return Strategy(name, seed=seed)
+@click.group(cls=_Main)
+@click.version_option(__version__)
+def main():
+    """Sparse matrix balancing toolkit."""
+
+
+def _config(eps, max_cycles, strategy, seed, sample_every, **kw):
+    """The SolverConfig of balance and bench, naming their options."""
+    if strategy not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if sample_every < 1:
+        raise ValueError("--sample-every must be at least 1")
+    return SolverConfig(eps=eps, max_cycles=max_cycles,
+                        strategy=Strategy(strategy, seed=seed),
+                        check_every=sample_every, **kw)
 
 
 @main.command("balance")
@@ -68,7 +92,6 @@ def _make_strategy(name, seed):
 @click.option("--radix-rounding", is_flag=True)
 @click.option("--parallel", "parallel_", is_flag=True,
               help="Color the support graph and update class by class.")
-@click.option("--workers", default=1, help="Accepted; has no effect.")
 @click.option("--sample-every", default=1, show_default=True,
               help="Cycles between termination checks.")
 @click.option("--json", "as_json", is_flag=True)
@@ -77,11 +100,9 @@ def _make_strategy(name, seed):
 @click.option("-o", "--output", default=None,
               help="Scaling output path [default: MATRIX_FILE.u].")
 def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
-                precision, radix_rounding, parallel_, workers,
-                sample_every, as_json, base2, output):
+                precision, radix_rounding, parallel_, sample_every, as_json,
+                base2, output):
     """Balance a MatrixMarket file and write the log-domain scaling."""
-    if sample_every < 1:
-        _fail("--sample-every must be at least 1")
     unsupported = [option for option, used in (
         (f"--strategy {strategy}", strategy not in ("cyclic", "shuffled")),
         (f"--criterion {criterion}", criterion != "l1"),
@@ -90,15 +111,9 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
         if used and precision == "lowbit"]
     if unsupported:
         _fail(f"low-bit mode does not support {', '.join(unsupported)}")
-    try:
-        cfg = SolverConfig(eps=eps, max_cycles=max_cycles,
-                           criterion=criterion,
-                           strategy=_make_strategy(strategy, seed),
-                           radix_rounding=radix_rounding,
-                           check_every=sample_every)
-    except ValueError as exc:
-        _fail(exc)
-    A = _load(matrix_file)
+    cfg = _config(eps, max_cycles, strategy, seed, sample_every,
+                  criterion=criterion, radix_rounding=radix_rounding)
+    A = read_matrix_market(matrix_file)
     if A.dropped:
         click.echo(f"warning: dropped {A.dropped} diagonal/zero entries",
                    err=True)
@@ -107,17 +122,13 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
               "balanceable as a whole. Decompose it into strongly connected "
               "blocks (scc_decompose) and balance each separately.", code=3)
 
-    try:
-        if precision == "lowbit":
-            report = run_lowbit(A, LowbitConfig(eps, A.n), cfg.strategy,
-                                max_cycles=max_cycles)
-        elif parallel_:
-            report = run_parallel(A, greedy_color(A), cfg, workers=workers)
-        else:
-            report = run(A, cfg)
-    except ScalingOverflowError as exc:
-        _fail(exc)
-
+    if precision == "lowbit":
+        report = run_lowbit(A, LowbitConfig(eps, A.n), cfg.strategy,
+                            max_cycles=max_cycles)
+    elif parallel_:
+        report = run_parallel(A, greedy_color(A), cfg)
+    else:
+        report = run(A, cfg)
     out = output or matrix_file + ".u"
     write_scaling(out, report.u_final, base2=base2)
     final = report.trajectory[-1].imbalance if report.trajectory else None
@@ -171,14 +182,9 @@ def _generate(kind, k=40, n=100, s=5, p=0.1, lo=None, hi=1.0, seed=0):
 @click.option("-o", "--output", required=True, type=click.Path())
 def cmd_gen(kind, k, n, s, p, lo, hi, seed, output):
     """Generate an instance and write it as a MatrixMarket file."""
-    try:
-        A, params = _generate(kind, k, n, s, p, lo, hi, seed)
-    except ValueError as exc:
-        _fail(exc)
+    A, params = _generate(kind, k, n, s, p, lo, hi, seed)
     write_matrix_market(output, A, comments=[
-        f"generator: {kind} {params}",
-        f"toolkit: osbalance {__version__}",
-    ])
+        f"generator: {kind} {params}", f"toolkit: osbalance {__version__}"])
     click.echo(f"wrote {A.n}x{A.n} matrix with {A.m} entries to {output}")
 
 
@@ -188,7 +194,7 @@ def cmd_gen(kind, k, n, s, p, lo, hi, seed, output):
               help="Accuracy for the reported worst-case cycle bound.")
 def cmd_stats(matrix_file, eps):
     """Print instance statistics and the worst-case cycle bound."""
-    A = _load(matrix_file)
+    A = read_matrix_market(matrix_file)
     st = stats(A)
     for field in dataclasses.fields(st):
         click.echo(f"{field.name}: {getattr(st, field.name)}")
@@ -205,11 +211,8 @@ def cmd_stats(matrix_file, eps):
 @click.option("--eps", default=1e-6, show_default=True)
 def cmd_verify(matrix_file, scaling_file, eps):
     """Exit 0 iff the scaling balances the matrix to tolerance eps."""
-    A = _load(matrix_file)
-    try:
-        u = read_scaling(scaling_file)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+    A = read_matrix_market(matrix_file)
+    u = read_scaling(scaling_file)
     if len(u) != A.n:
         _fail(f"scaling has {len(u)} entries, matrix has {A.n}")
     try:
@@ -259,24 +262,19 @@ def cmd_bench(instance_spec, strategies, eps, seed, max_cycles, sample_every,
     update; greedy's selection overhead shows up only in the nonzeros
     and wall-clock columns.
     """
-    try:
-        name, A = _parse_instance_spec(instance_spec)
-    except (OSError, ParseError, ValueError) as exc:
-        _fail(exc)
+    name, A = _parse_instance_spec(instance_spec)
     names = [s.strip() for s in strategies.split(",") if s.strip()]
+    cfgs = [_config(eps, max_cycles, sname, seed + i, sample_every)
+            for i, sname in enumerate(names)]
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance", "strategy", "updates", "nonzeros",
                          "wall_nanos", "imbalance"])
-        for i, sname in enumerate(names):
-            cfg = SolverConfig(eps=eps, max_cycles=max_cycles,
-                               strategy=_make_strategy(sname, seed + i),
-                               check_every=sample_every)
+        for sname, cfg in zip(names, cfgs):
             report = run(A, cfg)
-            for sample in report.trajectory:
-                writer.writerow([name, sname, sample.updates,
-                                 sample.nonzeros, sample.wall_nanos,
-                                 f"{sample.imbalance:.17g}"])
+            writer.writerows([name, sname, s.updates, s.nonzeros,
+                              s.wall_nanos, f"{s.imbalance:.17g}"]
+                             for s in report.trajectory)
             if report.termination != "converged":
                 click.echo(f"note: {sname} ended with {report.termination}",
                            err=True)

@@ -86,6 +86,8 @@ def gen_kalantari(k):
 def gen_random_sparse(n, p, value_lo=0.0, value_hi=1.0, seed=0):
     """Each off-diagonal position present independently with probability
     p, with value uniform in (value_lo, value_hi)."""
+    if n < 1:
+        raise ValueError("matrix dimension must be positive")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     rng = np.random.default_rng(seed)

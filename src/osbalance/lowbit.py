@@ -166,7 +166,7 @@ class LowbitState:
                 log_sum_exp(c, self.cfg, self.ctx))
 
 
-def lowbit_update(state, j, cfg=None):
+def lowbit_update(state, j):
     """Half-log-ratio update of index j in the fixed-point domain.
 
     Returns the applied increment (fixed-point).  The increment is
@@ -180,7 +180,7 @@ def lowbit_update(state, j, cfg=None):
     return delta
 
 
-def inexact_terminate_check(state, cfg=None):
+def inexact_terminate_check(state):
     """Estimate the normalized imbalance from rho-accurate sums.
 
     Returns (g_hat, decided).  g_hat satisfies
@@ -192,15 +192,14 @@ def inexact_terminate_check(state, cfg=None):
     row sums, one from their total).  Since gamma_prime = eps**2/400 is
     far below rho = eps/24, every normalized sum stays rho-accurate.
     """
-    cfg = cfg or state.cfg
     sums = [state.sums_log(j) for j in range(state.A.n)]
-    phi_log = log_sum_exp([r_log for r_log, _ in sums], cfg, state.ctx)
+    phi_log = log_sum_exp([r_log for r_log, _ in sums], state.cfg, state.ctx)
     to_float = state.ctx.to_float
     g_hat = 0.0
     for r_log, c_log in sums:
         g_hat += abs(math.exp(to_float(r_log - phi_log))
                      - math.exp(to_float(c_log - phi_log)))
-    return g_hat, g_hat <= cfg.eps_bar
+    return g_hat, g_hat <= state.cfg.eps_bar
 
 
 def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
@@ -217,13 +216,13 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     deg = A.deg.tolist()
 
     def update(k, j):
-        delta = lowbit_update(state, j, cfg)
+        delta = lowbit_update(state, j)
         if update_hook is not None:
             update_hook(state, j, delta)
         return deg[j]
 
     def check(cycles):
-        g_hat, decided = inexact_terminate_check(state, cfg)
+        g_hat, decided = inexact_terminate_check(state)
         return g_hat, decided, 2 * A.m  # the row and column passes
 
     return drive(A, strategy, cfg.eps, max_cycles, update, check,

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 
@@ -80,7 +81,7 @@ class TestBalance:
         mtx = tmp_path / "k.mtx"
         write_matrix_market(mtx, gen_kalantari(8))
         for extra in (["--precision", "lowbit", "--eps", "1e-2"],
-                      ["--parallel", "--workers", "2", "--eps", "1e-8"]):
+                      ["--parallel", "--eps", "1e-8"]):
             out = tmp_path / "k.u"
             res = runner.invoke(main, ["balance", str(mtx), "-o", str(out)]
                                 + extra)
@@ -418,6 +419,105 @@ class TestBench:
         assert isinstance(res.exception, SystemExit)
         assert "error: unknown" in res.output
         assert not out.exists()
+
+
+class TestErrorSurface:
+    """One handler: every user error of every command exits 4."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        p = {key: tmp_path / name for key, name in [
+            ("ok", "k.mtx"), ("diag", "d.mtx"), ("diag_u", "d.u"),
+            ("over", "o.mtx"), ("binary", "b.mtx"), ("out", "x.out"),
+            ("missing", "no/dir/x"), ("reducible", "r.mtx"),
+            ("huge_u", "h.u")]}
+        write_matrix_market(p["ok"], gen_kalantari(3))
+        write_disconnected(p["reducible"])
+        p["huge_u"].write_text("800\n" + "0\n" * 6)
+        # Only diagonal entries: n = 2 and no entry left after parsing.
+        p["diag"].write_text("%%MatrixMarket matrix coordinate real "
+                             "general\n2 2 2\n1 1 1.0\n2 2 1.0\n")
+        p["diag_u"].write_text("0\n0\n")
+        # The second cycle's row sum of index 1 underflows to zero.
+        write_matrix_market(p["over"], build_matrix(3, [
+            (0, 1, 3.0381820057670038e+292), (0, 2, 2.8526290126358273e-216),
+            (1, 0, 3.226333723811323e-225), (2, 1, 1.031897967121833e+268)]))
+        p["binary"].write_bytes(b"\xff\xfe" + p["ok"].read_bytes())
+        return {key: str(path) for key, path in p.items()}
+
+    @staticmethod
+    def invoke(runner, paths, argv):
+        return runner.invoke(main, [a.format(**paths) for a in argv])
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bench", "kalantari:k=3", "--sample-every", "0", "-o", "{out}"],
+         "--sample-every must be at least 1"),
+        (["bench", "kalantari:k=3", "--eps", "2", "-o", "{out}"],
+         "eps must lie in (0, 1)"),
+        (["bench", "{over}", "-o", "{out}"], "row/column sum overflowed"),
+        (["stats", "{diag}"], "empty matrix"),
+        (["verify", "{diag}", "{diag_u}"], "empty matrix"),
+        (["balance", "{ok}", "-o", "{missing}"], "No such file"),
+        (["gen", "kalantari", "--k", "3", "-o", "{missing}"], "No such file"),
+        (["bench", "kalantari:k=3", "-o", "{missing}"], "No such file"),
+        (["balance", "{binary}", "-o", "{out}"], ""),
+        (["stats", "{binary}"], ""),
+        (["gen", "random", "--n", "0", "-o", "{out}"],
+         "matrix dimension must be positive"),
+        (["gen", "random", "--n", "-1", "-o", "{out}"],
+         "matrix dimension must be positive"),
+    ])
+    def test_user_errors_exit_4(self, runner, paths, argv, named):
+        res = self.invoke(runner, paths, argv)
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: " in res.output and named in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("argv", [
+        ["balance", "{ok}", "--criterion", "bogus"],
+        ["balance", "{ok}", "--workers", "2"],
+        ["verify", "{ok}"],
+        ["nosuchcommand"],
+        ["--bogus"],
+    ])
+    def test_usage_errors_exit_4(self, runner, paths, argv):
+        res = self.invoke(runner, paths, argv)
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Usage: " in res.output and "Error: " in res.output
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["--version"], 0), (["balance", "--help"], 0),
+        (["balance", "{ok}", "--eps", "1e-10", "--max-cycles", "1",
+          "-o", "{out}"], 2),
+        (["balance", "{reducible}", "-o", "{out}"], 3),
+        (["verify", "{ok}", "{huge_u}"], 1),
+    ])
+    def test_other_exit_codes_keep_their_meaning(self, runner, paths, argv,
+                                                 code):
+        res = self.invoke(runner, paths, argv)
+        assert res.exit_code == code, res.output
+        assert isinstance(res.exception, (SystemExit, type(None)))
+
+    def test_closed_stdout_is_not_a_user_error(self, runner, paths,
+                                                monkeypatch):
+        def closed(A):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(osbalance.cli, "stats", closed)
+        res = self.invoke(runner, paths, ["stats", "{ok}"])
+        assert res.exit_code == 1
+        assert "error: " not in res.output
+
+    def test_other_exceptions_propagate(self, runner, paths, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def stop(A, cfg):
+            raise Stop
+        monkeypatch.setattr(osbalance.cli, "run", stop)
+        res = self.invoke(runner, paths, ["balance", "{ok}", "-o", "{out}"])
+        assert isinstance(res.exception, Stop)
 
 
 class TestScalingFiles:

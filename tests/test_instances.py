@@ -97,6 +97,12 @@ class TestGenRandomSparse:
         A = gen_random_sparse(40, 0.01, value_lo=0.1, value_hi=1.0, seed=3)
         assert not stats(A).strongly_connected
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match="matrix dimension must be "
+                                             "positive"):
+            gen_random_sparse(n, 0.5)
+
 
 class TestStats:
     def test_kalantari(self):

@@ -133,14 +133,14 @@ class TestLowbitUpdate:
     def test_two_by_two_closed_form(self):
         cfg = LowbitConfig(0.01, 2)
         state = LowbitState(A22, cfg)
-        lowbit_update(state, 0, cfg)
+        lowbit_update(state, 0)
         got = state.ctx.to_float(state.u[0])
         assert abs(got - (-math.log(2.0))) <= 2 * cfg.gamma_prime + 2 * cfg.gamma
 
     def test_symmetric_step_is_tiny(self):
         cfg = LowbitConfig(0.01, 3)
         state = LowbitState(SYM3, cfg)
-        delta = lowbit_update(state, 1, cfg)
+        delta = lowbit_update(state, 1)
         assert abs(state.ctx.to_float(delta)) <= 2 * cfg.gamma_prime
 
     def test_multiplicative_step_contract(self):
@@ -155,7 +155,7 @@ class TestLowbitUpdate:
         for sweep in range(3):
             for j in range(5):
                 r, c = exact_sums(state, j)
-                delta = lowbit_update(state, j, cfg)
+                delta = lowbit_update(state, j)
                 ratio = mp.sqrt(c / r)
                 step = mp.e ** (delta * scale)
                 assert abs(step - ratio) <= tau * ratio
@@ -168,7 +168,7 @@ class TestLowbitUpdate:
         tau = mp.mpf(repr(cfg.gamma_prime))
         for sweep in range(3):
             for j in range(5):
-                lowbit_update(state, j, cfg)
+                lowbit_update(state, j)
                 r, c = exact_sums(state, j)
                 assert abs(r - c) <= 2 * tau * mp.sqrt(r * c)
 
@@ -177,14 +177,14 @@ class TestInexactCheck:
     def test_symmetric_accepts(self):
         cfg = LowbitConfig(0.3, 3)
         state = LowbitState(SYM3, cfg)
-        g_hat, decided = inexact_terminate_check(state, cfg)
+        g_hat, decided = inexact_terminate_check(state)
         assert decided
         assert g_hat <= cfg.eps_bar / 2
 
     def test_unbalanced_estimate_in_sandwich(self):
         cfg = LowbitConfig(0.3, 2)  # eps_bar = 0.1
         state = LowbitState(A22, cfg)
-        g_hat, decided = inexact_terminate_check(state, cfg)
+        g_hat, decided = inexact_terminate_check(state)
         assert not decided
         assert 0.55 <= g_hat <= 2.45  # true imbalance is 1.2
 
@@ -200,7 +200,7 @@ class TestInexactCheck:
             state.u = [ctx.from_float(float(x)) for x in u]
             g = imbalance(A, np.array([ctx.to_float(q)
                                        for q in state.u])).normalized
-            g_hat, _ = inexact_terminate_check(state, cfg)
+            g_hat, _ = inexact_terminate_check(state)
             slack = 1e-9  # entry truncation, absorbed by the sandwich margin
             assert g / 2 - cfg.eps_bar / 2 - slack <= g_hat <= \
                 2 * g + cfg.eps_bar / 2 + slack
