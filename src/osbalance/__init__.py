@@ -11,7 +11,7 @@ from .instances import (CycleBound, InstanceStats, gen_kalantari,
                         scc_decompose, stats, theoretical_cycle_bound)
 from .lowbit import (FixedContext, LowbitConfig, LowbitState,
                      inexact_terminate_check, log_sum_exp, lowbit_update,
-                     preprocess_log_entries, run_lowbit)
+                     run_lowbit)
 from .mmio import (ParseError, read_matrix_market, read_scaling,
                    write_matrix_market, write_scaling)
 from .parallel import (Coloring, ImproperColoringError, greedy_color,

@@ -20,7 +20,7 @@ import sys
 import click
 
 from . import __version__
-from .core import ScalingOverflowError, imbalance
+from .core import BalancingError, ScalingOverflowError, imbalance
 from .instances import (gen_kalantari, gen_random_sparse, gen_salient, stats,
                         theoretical_cycle_bound)
 from .lowbit import LowbitConfig, run_lowbit
@@ -74,6 +74,8 @@ def _config(eps, max_cycles, strategy, seed, sample_every, **kw):
         raise ValueError(f"unknown strategy {strategy!r}")
     if sample_every < 1:
         raise ValueError("--sample-every must be at least 1")
+    if max_cycles is not None and max_cycles < 1:
+        raise ValueError("--max-cycles must be at least 1")
     return SolverConfig(eps=eps, max_cycles=max_cycles,
                         strategy=Strategy(strategy, seed=seed),
                         check_every=sample_every, **kw)
@@ -196,13 +198,13 @@ def cmd_stats(matrix_file, eps):
     """Print instance statistics and the worst-case cycle bound."""
     A = read_matrix_market(matrix_file)
     st = stats(A)
+    try:  # checks eps before anything is printed
+        bound = theoretical_cycle_bound(st, eps).explicit
+    except BalancingError:
+        bound = "withheld (not strongly connected)"
     for field in dataclasses.fields(st):
         click.echo(f"{field.name}: {getattr(st, field.name)}")
-    if st.strongly_connected:
-        bound = theoretical_cycle_bound(st, eps)
-        click.echo(f"cycle_bound[eps={eps}]: {bound.explicit}")
-    else:
-        click.echo("cycle_bound: withheld (not strongly connected)")
+    click.echo(f"cycle_bound[eps={eps}]: {bound}")
 
 
 @main.command("verify")
@@ -238,7 +240,7 @@ def _parse_instance_spec(spec):
         key, _, val = item.partition("=")
         if key not in _GEN_KEYS[kind]:
             raise ParseError(f"unknown key {key!r} for {kind} instances")
-        kw[key] = float(val) if "." in val or "e" in val else int(val)
+        kw[key] = (int if key in ("k", "n", "s", "seed") else float)(val)
     return spec, _generate(kind, **kw)[0]
 
 
@@ -266,18 +268,17 @@ def cmd_bench(instance_spec, strategies, eps, seed, max_cycles, sample_every,
     names = [s.strip() for s in strategies.split(",") if s.strip()]
     cfgs = [_config(eps, max_cycles, sname, seed + i, sample_every)
             for i, sname in enumerate(names)]
-    with open(output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "strategy", "updates", "nonzeros",
-                         "wall_nanos", "imbalance"])
-        for sname, cfg in zip(names, cfgs):
-            report = run(A, cfg)
-            writer.writerows([name, sname, s.updates, s.nonzeros,
-                              s.wall_nanos, f"{s.imbalance:.17g}"]
-                             for s in report.trajectory)
-            if report.termination != "converged":
-                click.echo(f"note: {sname} ended with {report.termination}",
-                           err=True)
+    rows = [["instance", "strategy", "updates", "nonzeros", "wall_nanos",
+             "imbalance"]]
+    for sname, cfg in zip(names, cfgs):
+        report = run(A, cfg)
+        rows += ([name, sname, s.updates, s.nonzeros, s.wall_nanos,
+                  f"{s.imbalance:.17g}"] for s in report.trajectory)
+        if report.termination != "converged":
+            click.echo(f"note: {sname} ended with {report.termination}",
+                       err=True)
+    with open(output, "w", newline="") as fh:  # only once every run ended
+        csv.writer(fh).writerows(rows)
     click.echo(f"wrote {output}")
 
 

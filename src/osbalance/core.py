@@ -29,28 +29,46 @@ class ScalingOverflowError(BalancingError):
 class SparseNonnegMatrix:
     """Square sparse matrix with positive off-diagonal entries.
 
-    Zeros are absent rather than stored and the diagonal is dropped at
-    construction.  Next to the canonical COO triplets, every entry is
-    kept twice in one flat incidence layout: vertex j owns the segment
-    ``inc_ptr[j]:inc_ptr[j + 1]`` of ``inc_idx`` (the other endpoint),
-    ``inc_val`` and ``inc_sign``, which holds row j's entries (sign +1,
-    the first ``out_deg[j]``) and then column j's (sign -1), each in
-    canonical order; a row/column pair is one O(deg(j)) slice.
+    The constructor alone decides what a matrix may hold: given n >= 1
+    and (row, col, value) triplets as three sequences, with indices in
+    [0, n) and no negative value, it drops zero and diagonal entries
+    (counted in ``.dropped``), sums duplicates, which must then be
+    finite, and sorts them by (row, col).  Else it raises ValueError.
+
+    Every entry is also kept twice in one flat incidence layout: vertex
+    j owns the segment ``inc_ptr[j]:inc_ptr[j + 1]`` of ``inc_idx`` (the
+    other endpoint), ``inc_val`` and ``inc_sign``, which holds row j's
+    entries (sign +1, the first ``out_deg[j]``) and then column j's
+    (sign -1), each in canonical order; a row/column pair is one
+    O(deg(j)) slice.
     """
 
     __slots__ = ("n", "m", "coo_rows", "coo_cols", "coo_vals", "inc_ptr",
                  "inc_idx", "inc_val", "inc_sign", "out_deg", "deg",
                  "dropped", "_strong")
 
-    def __init__(self, n, rows, cols, vals, dropped=0):
-        # rows/cols/vals must already be canonical: diagonal-free,
-        # duplicate-free, positive, sorted by (row, col).
-        self.n = int(n)
-        self.m = len(vals)
-        self.coo_rows = np.asarray(rows, dtype=np.intp)
-        self.coo_cols = np.asarray(cols, dtype=np.intp)
-        self.coo_vals = np.asarray(vals, dtype=np.float64)
-        self.dropped = dropped
+    def __init__(self, n, rows, cols, vals):
+        if not n >= 1:
+            raise ValueError("matrix dimension must be positive")
+        self.n = n = int(n)
+        rows, cols = (np.asarray(a, dtype=np.intp) for a in (rows, cols))
+        vals = np.asarray(vals, dtype=np.float64)
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+            raise ValueError("index out of range")
+        if np.any(vals < 0):
+            raise ValueError("negative value in triplet list")
+        keep = (vals != 0) & (rows != cols)
+        self.dropped = len(vals) - int(np.count_nonzero(keep))
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+        # astype: bincount of no entries at all gives int64
+        vals = np.bincount(inverse, vals, keys.size).astype(float, copy=False)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite entry")
+        self.coo_rows, self.coo_cols = np.divmod(keys, n)
+        self.coo_vals = vals
+        del rows, cols, vals, keep, keys, inverse
+        self.m = len(self.coo_vals)
         self._strong = None
 
         # Incidence k < m is entry k seen from its row, k >= m entry k - m
@@ -72,6 +90,13 @@ class SparseNonnegMatrix:
         self.inc_val = self.coo_vals[entry]
         self.inc_sign = 1 - 2 * col_part.view(np.int8)
         self.out_deg = np.bincount(self.coo_rows, minlength=self.n)
+
+    def with_entries(self, w):
+        """This pattern with the entries w, each in (0, inf): one that
+        overflowed or underflowed raises ScalingOverflowError."""
+        if not np.all((w > 0.0) & (w < math.inf)):
+            raise ScalingOverflowError("an entry overflowed or underflowed")
+        return SparseNonnegMatrix(self.n, self.coo_rows, self.coo_cols, w)
 
     def incidence_bounds(self):
         """Lists (ptr, mid): in a flat sequence with one item per
@@ -133,30 +158,11 @@ def bfs(nbr, lo, hi, source, depth):
 
 
 def build_matrix(n, triplets):
-    """Build a SparseNonnegMatrix from (row, col, value) triplets.
-
-    Zero-valued and diagonal triplets are dropped (counted in
-    ``.dropped``), duplicates at the same position are summed.
-    """
-    if n <= 0:
-        raise ValueError("matrix dimension must be positive")
+    """A SparseNonnegMatrix from an iterable of (row, col, value)."""
     triplets = list(triplets)
-    rows = np.array([t[0] for t in triplets], dtype=np.intp)
-    cols = np.array([t[1] for t in triplets], dtype=np.intp)
-    vals = np.array([t[2] for t in triplets], dtype=np.float64)
-    if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
-        raise ValueError("index out of range")
-    if np.any(vals < 0):
-        raise ValueError("negative value in triplet list")
-    keep = (vals > 0) & (rows != cols)
-    dropped = int(len(vals) - keep.sum())
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    keys = rows * n + cols
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    vals = np.bincount(inverse, weights=vals, minlength=uniq.size)
-    rows = uniq // n
-    cols = uniq % n
-    return SparseNonnegMatrix(n, rows, cols, vals, dropped=dropped)
+    return SparseNonnegMatrix(n, *(
+        np.fromiter((t[k] for t in triplets), dtype, len(triplets))
+        for k, dtype in enumerate((np.intp, np.intp, np.float64))))
 
 
 @dataclass(frozen=True)
@@ -231,8 +237,7 @@ def imbalance(A, u):
 
 def scaled_matrix(A, u):
     """Return D A D^-1 as a new matrix with the same sparsity pattern."""
-    w = _scaled_entry_weights(A, u)
-    return SparseNonnegMatrix(A.n, A.coo_rows.copy(), A.coo_cols.copy(), w)
+    return A.with_entries(_scaled_entry_weights(A, u))
 
 
 def verify_balance(A, u, eps):

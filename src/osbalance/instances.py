@@ -54,8 +54,8 @@ def gen_salient(n, s, lo=0.001, hi=1.0, seed=0):
     """Dense off-diagonal matrix whose last s rows and columns (union)
     carry entries uniform in (0, hi); all other entries are uniform in
     (0, lo)."""
-    if s >= n:
-        raise ValueError("s must be smaller than n")
+    if n < 2 or s >= n:
+        raise ValueError("n must be at least 2 and s smaller than n")
     rng = np.random.default_rng(seed)
     vals = _positive_uniform(rng, (n, n))
     bound = np.full((n, n), lo)
@@ -186,8 +186,8 @@ def lp_reduce(A, p):
     norm and dividing the exponents by p yields an l_p balancing of A."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return SparseNonnegMatrix(A.n, A.coo_rows.copy(), A.coo_cols.copy(),
-                              A.coo_vals ** p)
+    with np.errstate(over="ignore"):
+        return A.with_entries(A.coo_vals ** p)
 
 
 def explicit_cycle_bound(log2_kappa, eps):
@@ -197,6 +197,8 @@ def explicit_cycle_bound(log2_kappa, eps):
 
 def theoretical_cycle_bound(st, eps):
     """Worst-case cycle counts for reaching normalized imbalance eps."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
     if not st.strongly_connected:
         raise BalancingError("cycle bound requires strong connectivity")
     shape = (st.log2_kappa * math.log(2.0) / eps) * min(1.0 / eps,

@@ -65,14 +65,13 @@ class LowbitConfig:
 class FixedContext:
     """Arithmetic on fixed-point log-domain integers ("FixedLog" values).
 
-    Results are range-checked against the declared integer width; the
+    Results are range-checked against a signed 64-bit width; the
     overflow counter must stay zero over a run.
     """
 
-    def __init__(self, frac_bits, width=64):
-        self.frac_bits = frac_bits
+    def __init__(self, frac_bits):
         self.scale = 1 << frac_bits
-        self.limit = 1 << (width - 1)
+        self.limit = 1 << 63
         self.overflows = 0
 
     def _check(self, q):
@@ -102,20 +101,13 @@ class FixedContext:
         return self._check(round(math.log(q / self.scale) * self.scale))
 
 
-def preprocess_log_entries(A, cfg, ctx=None):
-    """Fixed-point natural logs of the entries, within gamma of exact,
-    in the matrix's canonical entry order."""
-    ctx = ctx or FixedContext(cfg.frac_bits)
-    return [ctx.from_float(math.log(v)) for v in A.coo_vals]
-
-
 @functools.lru_cache(maxsize=1024)
 def _floor(gamma_prime, scale, count):
     """Unchecked fixed-point ln(gamma_prime / (2 count)), once per count."""
     return round(math.log(gamma_prime / (2.0 * count)) * scale)
 
 
-def log_sum_exp(values, cfg, ctx=None):
+def log_sum_exp(values, cfg, ctx):
     """Floored log-sum-exp of fixed-point values, within gamma_prime.
 
     Shifted exponents below ln(gamma_prime / (2 * count)) contribute the
@@ -124,7 +116,6 @@ def log_sum_exp(values, cfg, ctx=None):
     """
     if not values:
         raise ValueError("log_sum_exp of an empty list")
-    ctx = ctx or FixedContext(cfg.frac_bits)
     top = max(values)
     if len(values) == 1:
         return top

@@ -204,6 +204,30 @@ class TestBalance:
         assert isinstance(res.exception, SystemExit)
         assert "error: row/column sum overflowed or underflowed" in res.output
 
+    @pytest.mark.parametrize("command", [["balance"], ["stats"],
+                                         ["balance", "--parallel"]])
+    @pytest.mark.parametrize("entry", ["1 2 nan", "1 2 inf",
+                                       "1 2 1e308\n1 2 1e308"])
+    def test_non_finite_entry_exits_4(self, runner, tmp_path, command,
+                                      entry):
+        mtx = tmp_path / "n.mtx"
+        lines = ["1 2 1", "2 1 1", "2 3 1", "3 2 1", *entry.split("\n")]
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"3 3 {len(lines)}\n" + "\n".join(lines) + "\n")
+        res = runner.invoke(main, [command[0], str(mtx), *command[1:]])
+        assert res.exit_code == 4, res.output
+        assert res.output == "error: non-finite entry\n"
+
+    def test_max_cycles_named(self, runner, tmp_path):
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(3))
+        for extra in ([], ["--precision", "lowbit"]):
+            res = runner.invoke(main, ["balance", str(mtx), "--max-cycles",
+                                       "0", "-o", str(tmp_path / "k.u"),
+                                       *extra])
+            assert res.exit_code == 4
+            assert "error: --max-cycles must be at least 1" in res.output
+
 
 class TestGen:
     def test_kalantari_counts(self, runner, tmp_path):
@@ -242,6 +266,26 @@ class TestGen:
                       for i, j, v in direct.entries())
         assert got == want
 
+    @pytest.mark.parametrize("argv, named", [
+        (["random", "--n", "5", "--p", "1", "--lo", "-1"], "negative value"),
+        (["salient", "--n", "1", "--s", "0"], "n must be at least 2"),
+    ])
+    def test_invalid_matrix_exits_4(self, runner, tmp_path, argv, named):
+        out = tmp_path / "x.mtx"
+        res = runner.invoke(main, ["gen", *argv, "-o", str(out)])
+        assert res.exit_code == 4, res.output
+        assert f"error: {named}" in res.output
+        assert not out.exists()
+
+    def test_zero_entries_are_not_written(self, runner, tmp_path):
+        out = tmp_path / "s.mtx"
+        res = runner.invoke(main, ["gen", "salient", "--n", "6", "--s", "2",
+                                   "--lo", "0", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "with 18 entries" in res.output
+        A = read_matrix_market(out)
+        assert A.m == 18 and A.dropped == 0
+
     def test_invalid_parameters(self, runner, tmp_path):
         res = runner.invoke(main, ["gen", "salient", "--n", "5", "--s", "9",
                                    "-o", str(tmp_path / "x.mtx")])
@@ -275,6 +319,14 @@ class TestStats:
         assert "kappa: inf" in res.output
         # log2 kappa = log2(1e300) - log2(1e-300) = 1993.2..., ceil 1994
         assert "cycle_bound[eps=0.01]: 1595200000" in res.output
+
+    @pytest.mark.parametrize("write", [write_two_by_two, write_disconnected])
+    def test_eps_checked_before_printing(self, runner, tmp_path, write):
+        mtx = tmp_path / "m.mtx"
+        write(mtx)
+        res = runner.invoke(main, ["stats", str(mtx), "--eps", "5"])
+        assert res.exit_code == 4
+        assert res.output == "error: eps must lie in (0, 1]\n"
 
     def test_disconnected_bound_withheld(self, runner, tmp_path):
         mtx = tmp_path / "d.mtx"
@@ -418,6 +470,39 @@ class TestBench:
         assert res.exit_code == 4
         assert isinstance(res.exception, SystemExit)
         assert "error: unknown" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["kalantari:k=1e1",
+                                      "salient:n=20.5,s=2",
+                                      "salient:n=20,s=2.0",
+                                      "random:n=10,seed=1.5",
+                                      "random:n=10,p=x"])
+    def test_bad_spec_literal_exits_4(self, runner, tmp_path, spec):
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", spec, "--strategies", "cyclic",
+                                   "-o", str(out)])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: " in res.output and "Traceback" not in res.output
+        assert not out.exists()
+
+    def test_float_keys_take_integer_literals(self, runner, tmp_path):
+        rows = self.bench_rows(runner, tmp_path, "random:n=12,p=1,lo=1,hi=2",
+                               "--eps", "1e-6", "--strategies", "cyclic")
+        rep = run(gen_random_sparse(12, 1.0, value_lo=1.0, value_hi=2.0),
+                  SolverConfig(eps=1e-6))
+        assert [int(r["updates"]) for r in rows] == \
+            [s.updates for s in rep.trajectory]
+
+    def test_failed_run_leaves_no_csv(self, runner, tmp_path):
+        # The second cycle's row sum of index 1 underflows to zero.
+        mtx, out = tmp_path / "o.mtx", tmp_path / "bench.csv"
+        write_matrix_market(mtx, build_matrix(3, [
+            (0, 1, 3.0381820057670038e+292), (0, 2, 2.8526290126358273e-216),
+            (1, 0, 3.226333723811323e-225), (2, 1, 1.031897967121833e+268)]))
+        res = runner.invoke(main, ["bench", str(mtx), "-o", str(out)])
+        assert res.exit_code == 4
+        assert "error: row/column sum overflowed" in res.output
         assert not out.exists()
 
 

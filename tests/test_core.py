@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import osbalance.core
 from osbalance import (NotBalanceableError, ScalingOverflowError,
-                       SolverConfig, Strategy, build_matrix, gen_kalantari,
+                       SolverConfig, SparseNonnegMatrix, Strategy,
+                       build_matrix, gen_kalantari,
                        gradient, imbalance, potential, row_col_sums_at, run,
                        scaled_matrix, scc_decompose, stats, verify_balance)
 from osbalance.core import row_col_sums
@@ -77,6 +79,56 @@ class TestBuildMatrix:
             r, c = row_col_sums_at(A, u, j)
             assert abs(r - r_all[j]) <= 1e-15 * r_all[j]
             assert abs(c - c_all[j]) <= 1e-15 * c_all[j]
+
+
+class TestConstructor:
+    """The constructor itself enforces the matrix rule; build_matrix only
+    converts triplets."""
+
+    def test_canonicalizes(self):
+        A = SparseNonnegMatrix(3, [2, 0, 1, 0], [0, 1, 0, 1],
+                               [1.0, 2.0, 3.0, 4.0])
+        assert list(A.entries()) == [(0, 1, 6.0), (1, 0, 3.0), (2, 0, 1.0)]
+        assert A.m == 3 and A.dropped == 0
+
+    def test_zero_and_diagonal_dropped_and_counted(self):
+        # The diagonal never enters a balancing, whatever its value.
+        A = SparseNonnegMatrix(3, [0, 1, 1, 2, 2], [1, 1, 0, 0, 2],
+                               [1.0, 5.0, 0.0, 2.0, math.nan])
+        assert list(A.entries()) == [(0, 1, 1.0), (2, 0, 2.0)]
+        assert A.dropped == 3
+
+    @pytest.mark.parametrize("rows, cols, vals, named", [
+        ([0, 1], [1, 0], [1.0, -1.0], "negative"),
+        ([0, 3], [1, 0], [1.0, 1.0], "index out of range"),
+        ([0, -1], [1, 0], [1.0, 1.0], "index out of range"),
+        ([0, 1], [1, 0], [1.0, math.nan], "non-finite"),
+        ([0, 1], [1, 0], [math.inf, 1.0], "non-finite"),
+        ([0, 0, 1], [1, 1, 0], [1e308, 1e308, 1.0], "non-finite"),
+    ])
+    def test_rejects(self, rows, cols, vals, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                SparseNonnegMatrix(2, rows, cols, vals)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_dimension(self, n):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            SparseNonnegMatrix(n, [], [], [])
+
+    def test_build_matrix_is_the_constructor(self):
+        triplets = [(2, 0, 1.0), (0, 1, 2.0), (1, 1, 9.0), (0, 1, 4.0)]
+        A = build_matrix(3, iter(triplets))
+        B = SparseNonnegMatrix(3, *zip(*triplets))
+        for name in ("coo_rows", "coo_cols", "coo_vals", "inc_idx",
+                     "inc_val", "inc_sign", "inc_ptr"):
+            assert np.array_equal(getattr(A, name), getattr(B, name))
+        assert A.dropped == B.dropped == 1
+
+    def test_empty_matrix_keeps_float_values(self):
+        A = SparseNonnegMatrix(2, [], [], [])
+        assert A.m == 0 and A.coo_vals.dtype == np.float64
 
 
 class TestStronglyConnected:
@@ -251,6 +303,18 @@ class TestScaledMatrix:
         u = np.random.default_rng(31).normal(size=6)
         back = scaled_matrix(scaled_matrix(A, u), -u)
         assert np.allclose(back.to_dense(), A.to_dense(), rtol=1e-12)
+
+    @pytest.mark.parametrize("value, u", [
+        (1e-300, [0.0, 60.0, 0.0]),  # (0, 1) underflows to zero
+        (1e300, [60.0, 0.0, 0.0]),   # (0, 1) overflows
+    ])
+    def test_entry_out_of_range_raises(self, value, u):
+        A = build_matrix(3, [(0, 1, value), (1, 0, 1.0), (1, 2, 1.0),
+                             (2, 1, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingOverflowError):
+                scaled_matrix(A, np.array(u))
 
 
 class TestVerifyBalance:

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from osbalance import (BalancingError, SolverConfig, build_matrix,
+from osbalance import (BalancingError, ScalingOverflowError, SolverConfig,
+                       build_matrix,
                        gen_kalantari,
                        gen_random_sparse, gen_salient, lp_reduce, run,
                        scaled_matrix, scc_decompose, stats,
@@ -42,6 +44,17 @@ class TestGenSalient:
     def test_rejects_s_not_below_n(self):
         with pytest.raises(ValueError):
             gen_salient(5, 5, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_rejects_size_without_off_diagonal_entries(self, n):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            gen_salient(n, 0, seed=0)
+
+    def test_zero_entries_dropped_and_counted(self):
+        # lo = 0 zeroes every entry outside the last s rows and columns.
+        A = gen_salient(6, 2, lo=0.0, seed=0)
+        assert A.m == 18 and A.dropped == 12
+        assert all(i >= 4 or j >= 4 for i, j, _ in A.entries())
 
 
 class TestGenKalantari:
@@ -96,6 +109,10 @@ class TestGenRandomSparse:
     def test_sparse_enough_to_disconnect(self):
         A = gen_random_sparse(40, 0.01, value_lo=0.1, value_hi=1.0, seed=3)
         assert not stats(A).strongly_connected
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            gen_random_sparse(5, 1.0, value_lo=-1.0, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_nonpositive_dimension_rejected(self, n):
@@ -276,6 +293,16 @@ class TestLpReduce:
         cols = np.sqrt((M ** 2).sum(axis=0))
         assert np.allclose(rows, cols, rtol=1e-6)
 
+    @pytest.mark.parametrize("A, p", [
+        (gen_kalantari(3), 400.0),  # 0.01 ** 400 underflows to zero
+        (build_matrix(2, [(0, 1, 10.0), (1, 0, 1.0)]), 400.0),  # overflows
+    ])
+    def test_entry_out_of_range_raises(self, A, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingOverflowError):
+                lp_reduce(A, p)
+
 
 class TestCycleBound:
     def test_explicit_value(self):
@@ -302,3 +329,8 @@ class TestCycleBound:
                              (2, 3, 1.0), (3, 2, 1.0)])
         with pytest.raises(ValueError):
             theoretical_cycle_bound(stats(A), 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, 5.0, math.nan])
+    def test_rejects_eps_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            theoretical_cycle_bound(stats(gen_kalantari(3)), eps)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from osbalance import (FixedContext, LowbitConfig, LowbitState, Strategy,
                        build_matrix, gen_kalantari, gen_salient, imbalance,
                        inexact_terminate_check, log_sum_exp, lowbit_update,
-                       preprocess_log_entries, run_lowbit, stats)
+                       run_lowbit, stats)
 from conftest import dense_instance
 
 mp.mp.prec = 200
@@ -82,25 +82,28 @@ class TestConfig:
 class TestPreprocess:
     def test_unit_entry_is_exact_zero(self):
         A = build_matrix(2, [(0, 1, 1.0), (1, 0, 1.0)])
-        cfg = LowbitConfig(0.01, 2)
-        logs = preprocess_log_entries(A, cfg)
-        assert list(logs) == [0, 0]
+        state = LowbitState(A, LowbitConfig(0.01, 2))
+        assert state.row_log == state.col_log == [[0], [0]]
 
     def test_e_entry(self):
         A = build_matrix(2, [(0, 1, math.e), (1, 0, 1.0)])
         cfg = LowbitConfig(0.01, 2)
-        ctx = FixedContext(cfg.frac_bits)
-        logs = preprocess_log_entries(A, cfg, ctx)
-        assert abs(ctx.to_float(logs[0]) - 1.0) <= cfg.gamma
+        state = LowbitState(A, cfg)
+        q = state.row_log[0][0]
+        assert q == state.col_log[1][0]
+        assert abs(state.ctx.to_float(q) - 1.0) <= cfg.gamma
 
     def test_kalantari_entries_vs_extended_precision(self):
         A = gen_kalantari(40)
         cfg = LowbitConfig(0.01, A.n)
-        ctx = FixedContext(cfg.frac_bits)
-        logs = preprocess_log_entries(A, cfg, ctx)
-        for (i, j, v), q in zip(A.entries(), logs):
+        state = LowbitState(A, cfg)
+        # Row parts in vertex order are the canonical entry order.
+        logs = [q for part in state.row_log for q in part]
+        assert sorted(logs) == sorted(q for part in state.col_log
+                                      for q in part)
+        for (i, j, v), q in zip(A.entries(), logs, strict=True):
             ref = float(mp.log(mp.mpf(repr(float(v)))))
-            assert abs(ctx.to_float(q) - ref) <= cfg.gamma
+            assert abs(state.ctx.to_float(q) - ref) <= cfg.gamma
 
 
 class TestLogSumExp:
