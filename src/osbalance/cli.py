@@ -240,7 +240,12 @@ def _parse_instance_spec(spec):
         key, _, val = item.partition("=")
         if key not in _GEN_KEYS[kind]:
             raise ParseError(f"unknown key {key!r} for {kind} instances")
-        kw[key] = (int if key in ("k", "n", "s", "seed") else float)(val)
+        integer = key in ("k", "n", "s", "seed")
+        try:
+            kw[key] = (int if integer else float)(val)
+        except ValueError:
+            want = "an integer" if integer else "a number"
+            raise ParseError(f"{key} must be {want}, not {val!r}") from None
     return spec, _generate(kind, **kw)[0]
 
 

@@ -158,7 +158,12 @@ def bfs(nbr, lo, hi, source, depth):
 
 
 def build_matrix(n, triplets):
-    """A SparseNonnegMatrix from an iterable of (row, col, value)."""
+    """A SparseNonnegMatrix from an iterable of (row, col, value), or
+    from a structured array whose three fields are the rows, the columns
+    and the values, read field by field."""
+    if isinstance(triplets, np.ndarray):
+        return SparseNonnegMatrix(n, *(triplets[name]
+                                       for name in triplets.dtype.names))
     triplets = list(triplets)
     return SparseNonnegMatrix(n, *(
         np.fromiter((t[k] for t in triplets), dtype, len(triplets))

@@ -54,8 +54,8 @@ def gen_salient(n, s, lo=0.001, hi=1.0, seed=0):
     """Dense off-diagonal matrix whose last s rows and columns (union)
     carry entries uniform in (0, hi); all other entries are uniform in
     (0, lo)."""
-    if n < 2 or s >= n:
-        raise ValueError("n must be at least 2 and s smaller than n")
+    if n < 2 or not 0 <= s < n:
+        raise ValueError("n must be at least 2 and s lie in [0, n)")
     rng = np.random.default_rng(seed)
     vals = _positive_uniform(rng, (n, n))
     bound = np.full((n, n), lo)

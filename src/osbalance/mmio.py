@@ -46,22 +46,66 @@ def read_matrix_market(path):
             raise ParseError(f"bad size line: {line!r}") from exc
         if nrows != ncols:
             raise ParseError("matrix must be square")
-        triplets = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            try:
-                si, sj, sv = line.split()
-                triplets.append((int(si) - 1, int(sj) - 1, float(sv)))
-            except ValueError as exc:
-                raise ParseError(f"bad entry line: {line!r}") from exc
+        triplets = _read_entry_array(fh)
+        if triplets is None:  # the line loop names the line it refuses
+            triplets = []
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("%"):
+                    continue
+                try:
+                    si, sj, sv = line.split()
+                    triplets.append((int(si) - 1, int(sj) - 1, float(sv)))
+                except ValueError as exc:
+                    raise ParseError(f"bad entry line: {line!r}") from exc
         if len(triplets) != nnz:
             raise ParseError(f"expected {nnz} entries, found {len(triplets)}")
     try:
         return build_matrix(nrows, triplets)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+_ENTRY = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
+
+
+def _read_entry_array(fh):
+    """The entries from fh's position on, parsed by one ``np.loadtxt``
+    call into a structured array of 0-based (i, j, v) records; or None,
+    with fh back at that position, where the line loop must read them.
+
+    That is a stream that cannot seek back, a body with no entries (on
+    which ``loadtxt`` warns), any line ``loadtxt`` cannot parse, and any
+    non-ASCII line: numpy reads the index ``२`` (Devanagari two) as 2360
+    and the circled digit ``①``, which ``int()`` refuses, as 9264.  On
+    ASCII lines, ``loadtxt`` accepts no line that the loop refuses and
+    reads the same triplet from each line it accepts.
+    """
+    if not fh.seekable():
+        return None
+    start = fh.tell()
+    line = fh.readline()
+    while line.isspace():
+        line = fh.readline()
+    fh.seek(start)
+    if not line:
+        return None
+    try:
+        entries = np.loadtxt(_ascii_lines(fh), dtype=_ENTRY, comments=None,
+                             ndmin=1)
+    except ValueError:
+        fh.seek(start)
+        return None
+    entries["i"] -= 1
+    entries["j"] -= 1
+    return entries
+
+
+def _ascii_lines(fh):
+    for line in fh:
+        if not line.isascii():
+            raise ValueError("not an ASCII line")
+        yield line
 
 
 def write_scaling(path, u, base2=False):

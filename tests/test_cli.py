@@ -269,6 +269,8 @@ class TestGen:
     @pytest.mark.parametrize("argv, named", [
         (["random", "--n", "5", "--p", "1", "--lo", "-1"], "negative value"),
         (["salient", "--n", "1", "--s", "0"], "n must be at least 2"),
+        (["salient", "--n", "5", "--s", "-1"], 
+         "n must be at least 2 and s lie in [0, n)"),
     ])
     def test_invalid_matrix_exits_4(self, runner, tmp_path, argv, named):
         out = tmp_path / "x.mtx"
@@ -485,6 +487,12 @@ class TestBench:
         assert isinstance(res.exception, SystemExit)
         assert "error: " in res.output and "Traceback" not in res.output
         assert not out.exists()
+        named = {"kalantari:k=1e1": "k must be an integer, not '1e1'",
+                 "salient:n=20.5,s=2": "n must be an integer, not '20.5'",
+                 "salient:n=20,s=2.0": "s must be an integer, not '2.0'",
+                 "random:n=10,seed=1.5": "seed must be an integer, not '1.5'",
+                 "random:n=10,p=x": "p must be a number, not 'x'"}[spec]
+        assert f"error: {named}\n" in res.output
 
     def test_float_keys_take_integer_literals(self, runner, tmp_path):
         rows = self.bench_rows(runner, tmp_path, "random:n=12,p=1,lo=1,hi=2",

@@ -45,6 +45,11 @@ class TestGenSalient:
         with pytest.raises(ValueError):
             gen_salient(5, 5, seed=0)
 
+    @pytest.mark.parametrize("s", [-1, -5])
+    def test_rejects_negative_s(self, s):
+        with pytest.raises(ValueError, match=r"s lie in \[0, n\)"):
+            gen_salient(5, s, seed=0)
+
     @pytest.mark.parametrize("n", [1, 0])
     def test_rejects_size_without_off_diagonal_entries(self, n):
         with pytest.raises(ValueError, match="n must be at least 2"):
