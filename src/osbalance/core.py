@@ -161,7 +161,7 @@ def build_matrix(n, triplets):
     """A SparseNonnegMatrix from an iterable of (row, col, value), or
     from a structured array whose three fields are the rows, the columns
     and the values, read field by field."""
-    if isinstance(triplets, np.ndarray):
+    if isinstance(triplets, np.ndarray) and triplets.dtype.names:
         return SparseNonnegMatrix(n, *(triplets[name]
                                        for name in triplets.dtype.names))
     triplets = list(triplets)

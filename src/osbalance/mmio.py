@@ -8,6 +8,8 @@ exact.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .core import build_matrix
@@ -74,28 +76,26 @@ def _read_entry_array(fh):
     call into a structured array of 0-based (i, j, v) records; or None,
     with fh back at that position, where the line loop must read them.
 
-    That is a stream that cannot seek back, a body with no entries (on
-    which ``loadtxt`` warns), any line ``loadtxt`` cannot parse, and any
-    non-ASCII line: numpy reads the index ``२`` (Devanagari two) as 2360
-    and the circled digit ``①``, which ``int()`` refuses, as 9264.  On
-    ASCII lines, ``loadtxt`` accepts no line that the loop refuses and
-    reads the same triplet from each line it accepts.
+    That is a stream that cannot seek back, any non-ASCII line (numpy
+    reads some non-ASCII digits as other numbers than ``int()`` does,
+    or reads digits that ``int()`` refuses), any body ``loadtxt`` cannot
+    parse, and any body on which it warns: on no data, and, in numpy
+    releases that read an integer field through a float, on an index
+    such as ``1.5`` or ``1e3``.  On ASCII lines that it parses without a
+    warning, ``loadtxt`` accepts no line that the loop refuses and reads
+    the same triplet from each line.
     """
     if not fh.seekable():
         return None
     start = fh.tell()
-    line = fh.readline()
-    while line.isspace():
-        line = fh.readline()
-    fh.seek(start)
-    if not line:
-        return None
-    try:
-        entries = np.loadtxt(_ascii_lines(fh), dtype=_ENTRY, comments=None,
-                             ndmin=1)
-    except ValueError:
-        fh.seek(start)
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            entries = np.loadtxt(_ascii_lines(fh), dtype=_ENTRY,
+                                 comments=None, ndmin=1)
+        except (ValueError, Warning):
+            fh.seek(start)
+            return None
     entries["i"] -= 1
     entries["j"] -= 1
     return entries

@@ -41,6 +41,10 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix(2, [(0, 2, 1.0)])
 
+    def test_plain_triplet_array(self):
+        A = build_matrix(2, np.array([[0, 1, 4.0], [1, 0, 1.0]]))
+        assert list(A.entries()) == [(0, 1, 4.0), (1, 0, 1.0)]
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             build_matrix(0, [])

@@ -8,6 +8,7 @@ entry body, one ``(row, col, value)`` triplet per line handed to
 
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,14 @@ class TestAccepted:
         A = read_matrix_market(path)
         assert (A.n, A.m, A.dropped) == (3, 0, 0)
 
+    @pytest.mark.parametrize("body", ["", "\n\n", "% only a comment\n"])
+    def test_zero_entries_emit_no_warning(self, tmp_path, body):
+        path = write(tmp_path / "m.mtx", f"{HEADER}3 3 0\n{body}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read_matrix_market(path)
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
     def test_stream_that_cannot_seek(self, tmp_path):
         fifo = tmp_path / "m.fifo"
@@ -189,6 +198,44 @@ class TestAccepted:
         path = tmp_path / "m.mtx"
         write_matrix_market(path, A, comments=["a comment"])
         assert_same_matrix(read_matrix_market(path), A)
+
+
+class TestAnyWarningSendsTheBodyToTheLoop:
+    """From numpy 1.23 on, some releases read an integer field that is
+    not an integer literal through a float, truncate it, and only warn.
+    The array read must not build a matrix from such a parse."""
+
+    @pytest.fixture(autouse=True)
+    def loadtxt_via_float(self, monkeypatch):
+        real = np.loadtxt
+
+        def loadtxt(fname, dtype, **kwargs):
+            lines = list(fname)
+            floats = real(lines, dtype=[(name, np.float64)
+                                        for name in dtype.names], **kwargs)
+            if any(not token.lstrip("+-").isdigit()
+                   for line in lines for token in line.split()[:2]):
+                warnings.warn("loadtxt(): Parsing an integer via a float "
+                              "is deprecated.", DeprecationWarning)
+            return floats.astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.5 2 1\n2 1 1\n", "bad entry line: '1.5 2 1'"),
+        ("1 2 1\n2 1e3 1\n", "bad entry line: '2 1e3 1'"),
+    ])
+    def test_index_read_through_a_float_is_refused(self, tmp_path, body,
+                                                   message):
+        path = write(tmp_path / "m.mtx", f"{HEADER}2 2 2\n{body}")
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert str(info.value) == message
+
+    def test_integer_indices_still_read(self, tmp_path):
+        path = write(tmp_path / "m.mtx", f"{HEADER}2 2 2\n1 2 4\n2 1 1\n")
+        assert_same_matrix(read_matrix_market(path),
+                           build_matrix(2, [(0, 1, 4.0), (1, 0, 1.0)]))
 
 
 # A small token grammar around the MatrixMarket entry line: a file of
