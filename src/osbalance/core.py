@@ -26,10 +26,15 @@ class ScalingOverflowError(BalancingError):
     """A scaled entry or sum overflowed (or a sum underflowed to zero)."""
 
 
+# The largest n whose entry keys, up to n * n - 1, fit intp.
+_MAX_N = math.isqrt(np.iinfo(np.intp).max)
+
+
 class SparseNonnegMatrix:
     """Square sparse matrix with positive off-diagonal entries.
 
-    The constructor alone decides what a matrix may hold: given n >= 1
+    The constructor alone decides what a matrix may hold: given n >= 1,
+    small enough that the key row * n + col of every entry fits intp,
     and (row, col, value) triplets as three sequences, with indices in
     [0, n) and no negative value, it drops zero and diagonal entries
     (counted in ``.dropped``), sums duplicates, which must then be
@@ -50,6 +55,8 @@ class SparseNonnegMatrix:
     def __init__(self, n, rows, cols, vals):
         if not n >= 1:
             raise ValueError("matrix dimension must be positive")
+        if n > _MAX_N:
+            raise ValueError(f"matrix dimension must be at most {_MAX_N}")
         self.n = n = int(n)
         rows, cols = (np.asarray(a, dtype=np.intp) for a in (rows, cols))
         vals = np.asarray(vals, dtype=np.float64)
@@ -165,9 +172,12 @@ def build_matrix(n, triplets):
         return SparseNonnegMatrix(n, *(triplets[name]
                                        for name in triplets.dtype.names))
     triplets = list(triplets)
-    return SparseNonnegMatrix(n, *(
-        np.fromiter((t[k] for t in triplets), dtype, len(triplets))
-        for k, dtype in enumerate((np.intp, np.intp, np.float64))))
+    try:
+        arrays = [np.fromiter((t[k] for t in triplets), dtype, len(triplets))
+                  for k, dtype in enumerate((np.intp, np.intp, np.float64))]
+    except OverflowError:  # an index that intp cannot hold
+        raise ValueError("index out of range") from None
+    return SparseNonnegMatrix(n, *arrays)
 
 
 @dataclass(frozen=True)

@@ -27,23 +27,84 @@ class Coloring:
     num_colors: int
 
 
+_MIN_ROUND = 256  # a smaller ready set is colored faster one at a time
+_MASK_BITS = 62   # colors 0..61 fit an int64 bitmask, and so does mask + 1
+
+
 def greedy_color(A):
     """Proper coloring of the undirected support graph by the
     smallest-available-color rule in ascending vertex order.
 
+    A vertex's color is the smallest one missing among its lower
+    neighbors, so every vertex whose lower neighbors all have colors is
+    ready.  Numpy rounds color a whole ready set at once, each vertex
+    with the lowest clear bit of its lower neighbors' color bitmask, and
+    then find the next ready set.  Once a ready set is small, or a color
+    outgrows the mask, the vertices left are colored one at a time in
+    ascending order: each lower neighbor is then colored already or
+    earlier in the loop.  The colors are exactly those of the loop run
+    over every vertex.
+
     Uses at most maxdegree + 1 colors.
     """
-    ptr = A.inc_ptr.tolist()
-    nbr = A.inc_idx.tolist()
-    colors = [-1] * A.n
-    for v in range(A.n):
-        used = {colors[w] for w in nbr[ptr[v]:ptr[v + 1]]}
+    colors = np.full(A.n, -1, dtype=np.intp)
+    # pending[v]: entries between v and a lower neighbor without a color
+    pending = np.bincount(np.maximum(A.coo_rows, A.coo_cols), minlength=A.n)
+    ready = np.flatnonzero((pending == 0) & (A.deg > 0))
+    if len(ready) >= _MIN_ROUND:  # natural orders skip the rounds at once
+        _color_in_rounds(A, colors, pending, ready)
+    _color_in_order(A, colors)
+    return Coloring(colors, int(colors.max()) + 1 if A.n else 0)
+
+
+def _color_in_rounds(A, colors, pending, ready):
+    """Colors ready sets of non-isolated vertices while they are large;
+    leaves the other vertices at -1."""
+    bit = np.zeros(A.n, dtype=np.int64)  # 1 << color, 0 without a color
+    while len(ready) >= _MIN_ROUND:
+        nbr, seg = _incidences(A, ready)
+        nbr_bit = bit[nbr]  # 0 exactly at the higher neighbors
+        mask = np.bitwise_or.reduceat(nbr_bit, seg)
+        bit[ready] = low = ~mask & (mask + 1)
+        colors[ready] = c = np.frexp(low.astype(np.float64))[1] - 1
+        if c.max() >= _MASK_BITS:
+            return
+        higher, count = np.unique(nbr[nbr_bit == 0], return_counts=True)
+        del nbr, nbr_bit
+        pending[higher] -= count
+        ready = higher[pending[higher] == 0]
+
+
+def _incidences(A, vs):
+    """The other endpoints of every incidence of the vertices vs, in
+    segments one after another, and the start of each segment."""
+    deg = A.deg[vs]
+    seg = np.cumsum(deg) - deg
+    pos = np.repeat(A.inc_ptr[vs] - seg, deg)
+    pos += np.arange(len(pos))
+    return A.inc_idx[pos], seg
+
+
+def _color_in_order(A, colors):
+    """Replaces each -1 in colors, in ascending vertex order, by the
+    smallest color that no neighbor has."""
+    rest = np.flatnonzero(colors < 0)
+    if len(rest) == A.n:  # no round ran: every incidence, colors by vertex
+        order, ptr, nbr, known = range(A.n), A.inc_ptr, A.inc_idx, [-1] * A.n
+    else:  # the incidences of rest alone, colors by neighbor
+        nbr, ptr = _incidences(A, rest)
+        known = dict(zip(nbr.tolist(), colors[nbr].tolist()))
+        order, ptr = rest.tolist(), np.append(ptr, len(nbr))
+    ptr, nbr = ptr.tolist(), nbr.tolist()
+    for v, lo, hi in zip(order, ptr, ptr[1:]):
+        used = {known[w] for w in nbr[lo:hi]}
         c = 0
         while c in used:
             c += 1
-        colors[v] = c
-    colors = np.array(colors, dtype=np.intp)
-    return Coloring(colors, int(colors.max()) + 1 if A.n else 0)
+        known[v] = c
+    if isinstance(known, dict):
+        known = [known[v] for v in order]
+    colors[rest] = known
 
 
 def validate_coloring(A, coloring):

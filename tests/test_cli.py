@@ -218,6 +218,28 @@ class TestBalance:
         assert res.exit_code == 4, res.output
         assert res.output == "error: non-finite entry\n"
 
+    @pytest.mark.parametrize("command", [["balance"], ["stats"],
+                                         ["balance", "--parallel"]])
+    @pytest.mark.parametrize("size, entry, named", [
+        ("2 2 1", "1 99999999999999999999 1", "index out of range"),
+        ("2 2 1", "-99999999999999999999 1 1", "index out of range"),
+        ("99999999999999999999 99999999999999999999 1", "1 2 1",
+         "matrix dimension must be at most"),
+        ("3037000500 3037000500 1", "1 2 1",
+         "matrix dimension must be at most"),
+    ])
+    def test_beyond_int64_exits_4(self, runner, tmp_path, command, size,
+                                  entry, named):
+        # An index beyond int64, or an n whose keys row * n + col do not
+        # fit it, is a user error, not an OverflowError traceback.
+        mtx = tmp_path / "big.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"{size}\n{entry}\n")
+        res = runner.invoke(main, [command[0], str(mtx), *command[1:]])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"error: {named}")
+
     def test_max_cycles_named(self, runner, tmp_path):
         mtx = tmp_path / "k.mtx"
         write_matrix_market(mtx, gen_kalantari(3))

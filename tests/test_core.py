@@ -45,6 +45,12 @@ class TestBuildMatrix:
         A = build_matrix(2, np.array([[0, 1, 4.0], [1, 0, 1.0]]))
         assert list(A.entries()) == [(0, 1, 4.0), (1, 0, 1.0)]
 
+    @pytest.mark.parametrize("triplet", [(0, 2**63, 1.0), (10**20, 1, 1.0),
+                                         (0, -10**20, 1.0)])
+    def test_index_beyond_intp_is_out_of_range(self, triplet):
+        with pytest.raises(ValueError, match="index out of range"):
+            build_matrix(2, [(1, 0, 1.0), triplet])
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             build_matrix(0, [])
@@ -120,6 +126,14 @@ class TestConstructor:
     def test_rejects_dimension(self, n):
         with pytest.raises(ValueError, match="dimension must be positive"):
             SparseNonnegMatrix(n, [], [], [])
+
+    @pytest.mark.parametrize("n", [osbalance.core._MAX_N + 1, 10**20])
+    def test_rejects_dimension_whose_keys_overflow(self, n):
+        # Entry keys row * n + col reach n * n - 1, which must fit intp.
+        assert (osbalance.core._MAX_N ** 2 - 1 <= np.iinfo(np.intp).max
+                < (osbalance.core._MAX_N + 1) ** 2 - 1)
+        with pytest.raises(ValueError, match="dimension must be at most"):
+            SparseNonnegMatrix(n, [0], [1], [1.0])
 
     def test_build_matrix_is_the_constructor(self):
         triplets = [(2, 0, 1.0), (0, 1, 2.0), (1, 1, 9.0), (0, 1, 4.0)]

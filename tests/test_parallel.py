@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import osbalance.parallel
 from osbalance import (Coloring, ImproperColoringError, SolverConfig,
-                       Strategy, build_matrix, gen_kalantari, greedy_color,
-                       run, run_parallel, validate_coloring)
+                       SparseNonnegMatrix, Strategy, build_matrix,
+                       gen_kalantari, greedy_color, run, run_parallel,
+                       validate_coloring)
 from osbalance.parallel import color_class_order
 from conftest import dense_instance, sparse_balanceable
 
@@ -119,3 +124,113 @@ class TestRunParallel:
         par = run_parallel(A, col, SolverConfig(eps=1e-9), workers=2)
         seq = run(A, SolverConfig(eps=1e-9))
         assert np.array_equal(par.u_final, seq.u_final)
+
+
+def loop_coloring(A):
+    """The plain ascending loop that greedy_color must reproduce: each
+    vertex takes the smallest color that no neighbor has yet."""
+    ptr = A.inc_ptr.tolist()
+    nbr = A.inc_idx.tolist()
+    colors = [-1] * A.n
+    for v in range(A.n):
+        used = {colors[w] for w in nbr[ptr[v]:ptr[v + 1]]}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    colors = np.array(colors, dtype=np.intp)
+    return colors, int(colors.max()) + 1
+
+
+def support(n, pairs, seed=None):
+    """Unit entries at the (row, col) pairs, the vertices relabelled by a
+    seeded permutation unless seed is None."""
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(n)
+        rows, cols = perm[rows], perm[cols]
+    return SparseNonnegMatrix(n, rows, cols, np.ones(len(rows)))
+
+
+def ring_pairs(k):
+    K = gen_kalantari(k)
+    return K.n, list(zip(K.coo_rows.tolist(), K.coo_cols.tolist()))
+
+
+def star_pairs(leaves, clique):
+    """A center joined both ways to each leaf; leaves 1..clique are also
+    pairwise joined, so the last of them needs color clique."""
+    pairs = [(0, i) for i in range(1, leaves + 1)]
+    pairs += [(i, 0) for i in range(1, leaves + 1)]
+    pairs += [(i, j) for i in range(1, clique + 1)
+              for j in range(i + 1, clique + 1)]
+    return leaves + 1, pairs
+
+
+@st.composite
+def random_pairs(draw):
+    n = draw(st.integers(1, 40))  # isolated vertices and n = 1 included
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=4 * n))
+    return n, pairs
+
+
+@st.composite
+def star_with_leaf_edges(draw):
+    leaves = draw(st.integers(65, 100))
+    n, pairs = star_pairs(leaves, draw(st.integers(0, min(leaves, 70))))
+    pairs += draw(st.lists(st.tuples(st.integers(1, n - 1),
+                                     st.integers(1, n - 1)), max_size=n))
+    return n, pairs
+
+
+@st.composite
+def supports(draw):
+    n, pairs = draw(st.one_of(
+        random_pairs(),
+        st.integers(1, 1500).map(ring_pairs),
+        st.integers(1, 30).map(lambda n: (n, [
+            (i, j) for i in range(n) for j in range(n) if i != j])),
+        star_with_leaf_edges()))
+    return support(n, pairs, draw(st.none() | st.integers(0, 2**32 - 1)))
+
+
+class TestGreedyColorIsTheLoop:
+    """greedy_color colors in numpy rounds and then a scalar loop; every
+    coloring must be bitwise the plain ascending loop's."""
+
+    @staticmethod
+    def assert_is_the_loop(A):
+        col = greedy_color(A)
+        colors, num_colors = loop_coloring(A)
+        assert col.colors.dtype == colors.dtype
+        assert np.array_equal(col.colors, colors)
+        assert col.num_colors == num_colors
+
+    @settings(max_examples=300, deadline=None)
+    @given(supports(), st.sampled_from([1, 2, 256]), st.sampled_from([2, 62]))
+    def test_matches_the_loop(self, A, min_round, mask_bits):
+        # Small round and mask bounds send small graphs through the
+        # rounds and past the mask as well.
+        with mock.patch.object(osbalance.parallel, "_MIN_ROUND", min_round), \
+                mock.patch.object(osbalance.parallel, "_MASK_BITS", mask_bits):
+            self.assert_is_the_loop(A)
+
+    def test_colors_past_the_mask_match(self):
+        A = support(*star_pairs(80, 70), seed=7)
+        with mock.patch.object(osbalance.parallel, "_MIN_ROUND", 1):
+            self.assert_is_the_loop(A)
+        assert greedy_color(A).num_colors == 71
+
+    @pytest.mark.parametrize("seed, rounds", [(None, False), (1, True)])
+    def test_rounds_run_only_on_a_large_ready_set(self, monkeypatch, seed,
+                                                  rounds):
+        # A natural-order ring has one vertex without a lower neighbor
+        # and goes to the loop at once; a relabelled one has about n / 3.
+        A = support(*ring_pairs(3000), seed=seed)
+        calls = []
+        real = osbalance.parallel._color_in_rounds
+        monkeypatch.setattr(osbalance.parallel, "_color_in_rounds",
+                            lambda *args: calls.append(1) or real(*args))
+        self.assert_is_the_loop(A)
+        assert bool(calls) == rounds
