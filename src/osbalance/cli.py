@@ -3,9 +3,9 @@
 Exit codes: 0 success; 1 ``verify``: the scaling misses eps or the
 scaled matrix overflows; 2 ``balance``: max cycles reached; 3
 ``balance``: not balanceable; 4 any command: a usage error (with click's
-usage text), a file that cannot be read or written, or a rejected input
-or parameter, also a row/column sum that overflowed during a run
-(printed as ``error: ...``).
+usage text), a file that cannot be read or written, a rejected input or
+parameter, a declared size whose arrays cannot be allocated, or a
+row/column sum that overflowed during a run (printed as ``error: ...``).
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def _fail(message, code=4):
 
 class _Main(click.Group):
     """The one error surface.  A usage error, an OSError (a file that
-    cannot be read or written) and a ValueError (every package error and
-    config check) exit 4; anything else is a bug and keeps its traceback."""
+    cannot be read or written), a ValueError (every package error and
+    config check) and a MemoryError (a declared size too large to
+    allocate) exit 4; anything else is a bug and keeps its traceback."""
 
     def make_context(self, *args, **kwargs):
         return self._guard(super().make_context, *args, **kwargs)
@@ -56,10 +57,10 @@ class _Main(click.Group):
         except click.UsageError as exc:
             exc.exit_code = 4  # click still prints the usage text
             raise
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             if getattr(exc, "errno", None) == errno.EPIPE:
                 raise  # a closed stdout: click exits 1 quietly
-            _fail(exc)
+            _fail(str(exc) or type(exc).__name__)
 
 
 @click.group(cls=_Main)

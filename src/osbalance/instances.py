@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BalancingError, SparseNonnegMatrix, bfs, build_matrix
+from .core import (_MAX_N, BalancingError, SparseNonnegMatrix, bfs,
+                   build_matrix)
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,13 @@ def gen_kalantari(k):
     if k < 1:
         raise ValueError("k must be at least 1")
     n = 2 * k + 1
-    triplets = []
-    for i in range(1, k + 1):  # 1-based formulas, shifted on insertion
-        triplets.append((i, i + 1, 1.0))
-        triplets.append((2 * k + 2 - i, 2 * k + 1 - i, 1.0))
-        triplets.append((i + 1, i, 0.01))
-        triplets.append((2 * k + 1 - i, 2 * k + 2 - i, 0.01))
-    triplets.append((n, 1, 1.0))
-    triplets.append((1, n, 1.0))
-    return build_matrix(n, [(i - 1, j - 1, v) for i, j, v in triplets])
+    if n > _MAX_N:  # before any array of k entries is built
+        raise ValueError(f"matrix dimension must be at most {_MAX_N}")
+    i = np.arange(1, k + 1)  # 1-based formulas, shifted at the end
+    rows = np.concatenate([i, n + 1 - i, i + 1, n - i, [n, 1]])
+    cols = np.concatenate([i + 1, n - i, i, n + 1 - i, [1, n]])
+    vals = np.repeat([1.0, 0.01, 1.0], [2 * k, 2 * k, 2])
+    return SparseNonnegMatrix(n, rows - 1, cols - 1, vals)
 
 
 def gen_random_sparse(n, p, value_lo=0.0, value_hi=1.0, seed=0):

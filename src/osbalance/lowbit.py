@@ -204,13 +204,11 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     if strategy.kind not in ("cyclic", "shuffled", "fixed"):
         raise ValueError("low-bit mode supports cyclic-family strategies only")
     state = LowbitState(A, cfg)
-    deg = A.deg.tolist()
 
     def update(k, j):
         delta = lowbit_update(state, j)
         if update_hook is not None:
             update_hook(state, j, delta)
-        return deg[j]
 
     def check(cycles):
         g_hat, decided = inexact_terminate_check(state)

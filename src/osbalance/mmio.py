@@ -109,10 +109,11 @@ def _ascii_lines(fh):
 
 
 def write_scaling(path, u, base2=False):
+    u = np.asarray(u, dtype=np.float64)
+    if base2:
+        u = u / np.log(2.0)
     with open(path, "w") as fh:
-        for x in u:
-            x = x / np.log(2.0) if base2 else x
-            fh.write(f"{x:.17g}\n")
+        fh.write("".join(f"{x:.17g}\n" for x in u.tolist()))
 
 
 def read_scaling(path):

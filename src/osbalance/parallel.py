@@ -87,24 +87,19 @@ def _incidences(A, vs):
 
 def _color_in_order(A, colors):
     """Replaces each -1 in colors, in ascending vertex order, by the
-    smallest color that no neighbor has."""
+    smallest color that no neighbor has, reading only the incidences of
+    those vertices."""
     rest = np.flatnonzero(colors < 0)
-    if len(rest) == A.n:  # no round ran: every incidence, colors by vertex
-        order, ptr, nbr, known = range(A.n), A.inc_ptr, A.inc_idx, [-1] * A.n
-    else:  # the incidences of rest alone, colors by neighbor
-        nbr, ptr = _incidences(A, rest)
-        known = dict(zip(nbr.tolist(), colors[nbr].tolist()))
-        order, ptr = rest.tolist(), np.append(ptr, len(nbr))
-    ptr, nbr = ptr.tolist(), nbr.tolist()
+    nbr, ptr = _incidences(A, rest)
+    ptr, nbr = np.append(ptr, len(nbr)).tolist(), nbr.tolist()
+    order, known = rest.tolist(), colors.tolist()
     for v, lo, hi in zip(order, ptr, ptr[1:]):
         used = {known[w] for w in nbr[lo:hi]}
         c = 0
         while c in used:
             c += 1
         known[v] = c
-    if isinstance(known, dict):
-        known = [known[v] for v in order]
-    colors[rest] = known
+    colors[rest] = [known[v] for v in order]
 
 
 def validate_coloring(A, coloring):

@@ -318,15 +318,16 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
 
     A support that is not strongly connected ends at once as
     ``not_balanceable``; balance its ``scc_decompose`` blocks instead.
-    update(k, j) updates index j in cycle k and returns the nonzeros it
-    read.  check(cycles) returns (imbalance sample, converged, nonzeros
-    read) every check_every cycles, and before the first if check_first;
-    the trajectory records one sample per check.  iterate() is the
-    current iterate as a float64 array, over which greedy and weighted
-    selection keep their sums: refreshed after every update, resynced
-    after every check that does not end the run.
+    update(k, j) updates index j in cycle k and returns nothing; the
+    driver counts the deg(j) nonzeros it reads.  check(cycles) returns
+    (imbalance sample, converged, nonzeros read) every check_every
+    cycles, and before the first if check_first; the trajectory records
+    one sample per check.  iterate() is the current iterate as a
+    float64 array, over which greedy and weighted selection keep their
+    sums: refreshed after every update, resynced after every check that
+    does not end the run.
     """
-    n, start = A.n, time.perf_counter_ns()
+    n, start, deg = A.n, time.perf_counter_ns(), A.deg.tolist()
     updates, nonzeros, trajectory = 0, 0, []
 
     def report(u, cycles, termination):
@@ -356,7 +357,8 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
 
     for k in range(max_cycles):
         for j in cycle_order(k):
-            nonzeros += update(k, j)
+            update(k, j)
+            nonzeros += deg[j]
             if state is not None:
                 nonzeros += state.refresh(j)
         updates += n
@@ -386,7 +388,6 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     are instrumentation-only callbacks; they do not affect the run.
     """
     l1, radix = cfg.criterion == "l1", cfg.radix_rounding
-    deg = A.deg.tolist()
     u = np.zeros(A.n)
     failed = -1  # the last cycle with an update failing the Parlett test
 
@@ -397,7 +398,6 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
             failed = k
         if update_hook is not None:
             update_hook(k, j, r, c)
-        return deg[j]
 
     def check(cycles):
         g = imbalance(A, u).normalized  # also the Parlett trajectory's sample

@@ -315,6 +315,14 @@ class TestGen:
                                    "-o", str(tmp_path / "x.mtx")])
         assert res.exit_code == 4
 
+    def test_too_large_kalantari_exits_4(self, runner, tmp_path):
+        out = tmp_path / "x.mtx"
+        res = runner.invoke(main, ["gen", "kalantari", "--k",
+                                   "99999999999999999999", "-o", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.output.startswith("error: matrix dimension must be at most")
+        assert not out.exists()
+
 
 class TestStats:
     def test_kalantari(self, runner, tmp_path):
@@ -624,6 +632,23 @@ class TestErrorSurface:
         assert res.exit_code == 1
         assert "error: " not in res.output
 
+    @pytest.mark.parametrize("argv", [
+        ["balance", "{ok}", "-o", "{out}"], ["stats", "{ok}"],
+        ["verify", "{ok}", "{diag_u}"]])
+    @pytest.mark.parametrize("message, named", [
+        ("Unable to allocate 22.4 GiB", "Unable to allocate 22.4 GiB"),
+        ("", "MemoryError")])
+    def test_memory_error_exits_4(self, runner, paths, monkeypatch, argv,
+                                  message, named):
+        # A size line alone can ask for more memory than there is.
+        def too_large(path):
+            raise MemoryError(message)
+        monkeypatch.setattr(osbalance.cli, "read_matrix_market", too_large)
+        res = self.invoke(runner, paths, argv)
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"error: {named}\n"
+
     def test_other_exceptions_propagate(self, runner, paths, monkeypatch):
         class Stop(Exception):
             pass
@@ -642,3 +667,25 @@ class TestScalingFiles:
         write_scaling(path, u)
         back = read_scaling(path)
         assert np.array_equal(back, u)
+
+    @staticmethod
+    def write_one_at_a_time(path, u, base2=False):
+        """The writer as a loop that formats each np.float64 on its own."""
+        with open(path, "w") as fh:
+            for x in u:
+                x = x / np.log(2.0) if base2 else x
+                fh.write(f"{x:.17g}\n")
+
+    @pytest.mark.parametrize("base2", [False, True])
+    def test_same_bytes_as_one_at_a_time(self, tmp_path, base2):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        u = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320,
+             1e308, -1e308, 1.2e308, math.log(2.0),
+             -math.log(2.0), 1.0, 1 / 3],
+            np.random.default_rng(7).normal(scale=50, size=1000)])
+        got, want = tmp_path / "got.u", tmp_path / "want.u"
+        write_scaling(got, u, base2=base2)
+        self.write_one_at_a_time(want, u, base2=base2)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"-0\n" in got.read_bytes()

@@ -6,6 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import osbalance.core
 from osbalance import (BalancingError, ScalingOverflowError, SolverConfig,
                        build_matrix,
                        gen_kalantari,
@@ -97,6 +98,36 @@ class TestGenKalantari:
     def test_balanceable_for_every_k(self):
         for k in (1, 2, 5, 12):
             assert stats(gen_kalantari(k)).strongly_connected
+
+    @staticmethod
+    def triplet_loop(k):
+        """The generator as a Python loop over 1-based triplets."""
+        n = 2 * k + 1
+        triplets = []
+        for i in range(1, k + 1):
+            triplets.append((i, i + 1, 1.0))
+            triplets.append((2 * k + 2 - i, 2 * k + 1 - i, 1.0))
+            triplets.append((i + 1, i, 0.01))
+            triplets.append((2 * k + 1 - i, 2 * k + 2 - i, 0.01))
+        triplets.append((n, 1, 1.0))
+        triplets.append((1, n, 1.0))
+        return build_matrix(n, [(i - 1, j - 1, v) for i, j, v in triplets])
+
+    @pytest.mark.parametrize("k", [*range(1, 80), 50000])
+    def test_matches_the_triplet_loop(self, k):
+        got, want = gen_kalantari(k), self.triplet_loop(k)
+        assert (got.n, got.m, got.dropped) == (want.n, want.m, want.dropped)
+        for name in ("coo_rows", "coo_cols", "coo_vals", "inc_ptr",
+                     "inc_idx", "inc_val", "inc_sign", "deg", "out_deg"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("k", [(osbalance.core._MAX_N + 1) // 2, 10**20])
+    def test_too_large_k_is_refused_at_once(self, k):
+        # n = 2k + 1 is checked before any array of k entries exists.
+        with pytest.raises(ValueError, match="matrix dimension must be at "
+                           f"most {osbalance.core._MAX_N}$"):
+            gen_kalantari(k)
 
 
 class TestGenRandomSparse:
