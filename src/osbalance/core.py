@@ -106,11 +106,11 @@ class SparseNonnegMatrix:
         return SparseNonnegMatrix(self.n, self.coo_rows, self.coo_cols, w)
 
     def incidence_bounds(self):
-        """Lists (ptr, mid): in a flat sequence with one item per
-        incidence, such as ``inc_idx.tolist()``, vertex j's row part is
+        """Memoryviews (ptr, mid): in a flat sequence with one item per
+        incidence, such as ``inc_idx``, vertex j's row part is
         ``[ptr[j]:mid[j]]`` and its column part ``[mid[j]:ptr[j + 1]]``."""
-        return self.inc_ptr.tolist(), (self.inc_ptr[:-1]
-                                       + self.out_deg).tolist()
+        return memoryview(self.inc_ptr), memoryview(self.inc_ptr[:-1]
+                                                    + self.out_deg)
 
     def split_incidence(self, flat):
         """Per-vertex (row part, column part) lists of such a sequence."""
@@ -140,7 +140,7 @@ class SparseNonnegMatrix:
 
 def _reaches_all_both_ways(A):
     """Searches from vertex 0 along row, then column incidences."""
-    nbr, (ptr, mid) = A.inc_idx.tolist(), A.incidence_bounds()
+    nbr, (ptr, mid) = memoryview(A.inc_idx), A.incidence_bounds()
     return all(len(bfs(nbr, lo, hi, 0, [-1] * A.n)) == A.n
                for lo, hi in ((ptr, mid), (mid, ptr[1:])))
 

@@ -112,7 +112,8 @@ def stats(A):
         raise BalancingError("stats of an empty matrix are undefined")
     with np.errstate(over="ignore"):
         kappa = float(A.coo_vals.sum()) / float(A.coo_vals.min())
-    nbr, (ptr, mid) = A.inc_idx.tolist(), A.incidence_bounds()
+    # list copies, not views: the search from every source re-reads them
+    nbr, (ptr, mid) = A.inc_idx.tolist(), map(list, A.incidence_bounds())
     max_degree = max(len(set(nbr[ptr[j]:ptr[j + 1]])) for j in range(A.n))
     diameter = math.inf
     if A.strongly_connected():

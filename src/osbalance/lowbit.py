@@ -203,6 +203,11 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     strategy = strategy or Strategy("cyclic")
     if strategy.kind not in ("cyclic", "shuffled", "fixed"):
         raise ValueError("low-bit mode supports cyclic-family strategies only")
+    if max_cycles is not None and max_cycles < 1:
+        raise ValueError("max_cycles must be at least 1")
+    if cfg.n != A.n:
+        raise ValueError(f"the precision policy is sized for n = {cfg.n}, "
+                         f"but the matrix has n = {A.n}")
     state = LowbitState(A, cfg)
 
     def update(k, j):

@@ -111,7 +111,10 @@ def _ascii_lines(fh):
 def write_scaling(path, u, base2=False):
     u = np.asarray(u, dtype=np.float64)
     if base2:
-        u = u / np.log(2.0)
+        with np.errstate(over="ignore"):
+            u = u / np.log(2.0)
+        if not np.all(np.isfinite(u)):
+            raise ValueError("a base-2 exponent of the scaling is not finite")
     with open(path, "w") as fh:
         fh.write("".join(f"{x:.17g}\n" for x in u.tolist()))
 

@@ -62,7 +62,13 @@ def _color_in_rounds(A, colors, pending, ready):
     leaves the other vertices at -1."""
     bit = np.zeros(A.n, dtype=np.int64)  # 1 << color, 0 without a color
     while len(ready) >= _MIN_ROUND:
-        nbr, seg = _incidences(A, ready)
+        # the other endpoints of the ready vertices' incidences, in one
+        # segment per vertex from seg
+        deg = A.deg[ready]
+        seg = np.cumsum(deg) - deg
+        pos = np.repeat(A.inc_ptr[ready] - seg, deg)
+        pos += np.arange(len(pos))
+        nbr = A.inc_idx[pos]
         nbr_bit = bit[nbr]  # 0 exactly at the higher neighbors
         mask = np.bitwise_or.reduceat(nbr_bit, seg)
         bit[ready] = low = ~mask & (mask + 1)
@@ -70,19 +76,9 @@ def _color_in_rounds(A, colors, pending, ready):
         if c.max() >= _MASK_BITS:
             return
         higher, count = np.unique(nbr[nbr_bit == 0], return_counts=True)
-        del nbr, nbr_bit
+        del pos, nbr, nbr_bit
         pending[higher] -= count
         ready = higher[pending[higher] == 0]
-
-
-def _incidences(A, vs):
-    """The other endpoints of every incidence of the vertices vs, in
-    segments one after another, and the start of each segment."""
-    deg = A.deg[vs]
-    seg = np.cumsum(deg) - deg
-    pos = np.repeat(A.inc_ptr[vs] - seg, deg)
-    pos += np.arange(len(pos))
-    return A.inc_idx[pos], seg
 
 
 def _color_in_order(A, colors):
@@ -90,11 +86,10 @@ def _color_in_order(A, colors):
     smallest color that no neighbor has, reading only the incidences of
     those vertices."""
     rest = np.flatnonzero(colors < 0)
-    nbr, ptr = _incidences(A, rest)
-    ptr, nbr = np.append(ptr, len(nbr)).tolist(), nbr.tolist()
+    nbr, ptr = memoryview(A.inc_idx), memoryview(A.inc_ptr)
     order, known = rest.tolist(), colors.tolist()
-    for v, lo, hi in zip(order, ptr, ptr[1:]):
-        used = {known[w] for w in nbr[lo:hi]}
+    for v in order:
+        used = {known[w] for w in nbr[ptr[v]:ptr[v + 1]]}
         c = 0
         while c in used:
             c += 1
@@ -118,10 +113,10 @@ def validate_coloring(A, coloring):
 
 
 def color_class_order(coloring):
-    """Vertex lists of each color class, ascending by color index."""
+    """Vertex arrays of each color class, ascending by color index."""
     sizes = np.bincount(coloring.colors, minlength=coloring.num_colors)
-    return [cls.tolist() for cls in np.split(
-        np.argsort(coloring.colors, kind="stable"), np.cumsum(sizes)[:-1])]
+    return np.split(np.argsort(coloring.colors, kind="stable"),
+                    np.cumsum(sizes)[:-1])
 
 
 def run_parallel(A, coloring, cfg, workers=1):
@@ -133,7 +128,7 @@ def run_parallel(A, coloring, cfg, workers=1):
     accepted for compatibility and has no effect on execution.
     """
     validate_coloring(A, coloring)
-    order = tuple(v for cls in color_class_order(coloring) for v in cls)
+    order = np.concatenate(color_class_order(coloring))
     report = run(A, replace(cfg, strategy=Strategy("fixed", order=order)))
     report.rounds_used = coloring.num_colors * report.cycles_used
     return report

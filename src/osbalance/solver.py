@@ -42,7 +42,7 @@ class Strategy:
     """
     kind: str = "cyclic"
     seed: int | None = None
-    order: tuple[int, ...] | None = None
+    order: tuple[int, ...] | np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -235,10 +235,12 @@ class WeightedState(_KeptSums):
 
 def weighted_sample(state, rng):
     """Draw an index with probability proportional to its weight."""
-    total = state.fen.total
-    if total <= 0:
-        raise NotBalanceableError("all sampling weights are zero")
-    return state.fen.find(rng.random() * total)
+    fen = state.fen
+    if fen.total <= 0:  # zero weights, or a running total that cancelled
+        if math.fsum(fen.weights) == 0:
+            raise NotBalanceableError("all sampling weights are zero")
+        fen = state.fen = _Fenwick(fen.weights)
+    return fen.find(rng.random() * fen.total)
 
 
 class GreedyState(_KeptSums):
@@ -291,7 +293,7 @@ def order_source(strategy, n, state=None):
         order = range(n)
         return lambda k: order
     if kind == "fixed":
-        order = tuple(map(operator.index, strategy.order))
+        order = list(map(operator.index, strategy.order))
         if len(order) != n:
             raise ValueError(f"fixed order has length {len(order)}, "
                              f"expected n = {n}")

@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestBalance:
         assert res.exit_code == 0, res.output
         u = read_scaling(out)
         assert u[0] - u[1] == pytest.approx(-math.log(2.0), abs=1e-10)
+
+    def test_dropped_entries_are_reported(self, runner, tmp_path):
+        mtx = tmp_path / "g.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "2 2 3\n1 1 5\n1 2 4\n2 1 1\n")
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-10",
+                                   "-o", str(tmp_path / "g.u")])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == "warning: dropped 1 diagonal/zero entries\n"
 
     def test_disconnected_exit_code(self, runner, tmp_path):
         mtx = tmp_path / "d.mtx"
@@ -675,6 +685,22 @@ class TestScalingFiles:
             for x in u:
                 x = x / np.log(2.0) if base2 else x
                 fh.write(f"{x:.17g}\n")
+
+    @pytest.mark.parametrize("x", [1.7e308, -1.7e308])
+    def test_overflowing_base2_exponent_is_refused(self, tmp_path, x):
+        path = tmp_path / "x.u"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="base-2 exponent"):
+                write_scaling(path, [0.0, x], base2=True)
+        assert not path.exists()
+
+    def test_largest_base2_exponents_are_written(self, tmp_path):
+        path = tmp_path / "x.u"
+        write_scaling(path, [1.2e308, -1.2e308], base2=True)
+        back = read_scaling(path)
+        assert np.all(np.isfinite(back))
+        assert back[0] == -back[1] == pytest.approx(1.2e308 / math.log(2.0))
 
     @pytest.mark.parametrize("base2", [False, True])
     def test_same_bytes_as_one_at_a_time(self, tmp_path, base2):

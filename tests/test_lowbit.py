@@ -235,6 +235,19 @@ class TestRunLowbit:
             run_lowbit(A22, LowbitConfig(0.1, 2),
                        strategy=Strategy("uniform", seed=1))
 
+    @pytest.mark.parametrize("max_cycles", [0, -3])
+    def test_max_cycles_below_one_rejected(self, max_cycles):
+        with pytest.raises(ValueError, match="max_cycles must be at least 1"):
+            run_lowbit(A22, LowbitConfig(0.1, 2), max_cycles=max_cycles)
+
+    def test_config_for_another_n_rejected(self):
+        # sized for n = 2, the policy would run gen_kalantari(40) at 35
+        # fractional bits, not 41, with a gamma 40 times too coarse
+        K = gen_kalantari(40)
+        with pytest.raises(ValueError,
+                           match="n = 2, but the matrix has n = 81"):
+            run_lowbit(K, LowbitConfig(1e-3, 2))
+
     def test_salient_operation_budget(self):
         A = gen_salient(200, 5, seed=2)
         st = stats(A)

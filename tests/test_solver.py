@@ -351,6 +351,12 @@ class TestGreedyIndex:
             st.refresh(j)
 
 
+# Strongly connected, with entries over 500 decades.
+SPREAD3 = build_matrix(3, [(0, 1, 3.17e247), (0, 2, 1.33e73),
+                           (1, 0, 4e-277), (1, 2, 9.77e-242),
+                           (2, 0, 4.06e-275), (2, 1, 4.89e218)])
+
+
 class TestWeightedSample:
     def test_uniform_two_point(self):
         A = build_matrix(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -385,6 +391,24 @@ class TestWeightedSample:
             counts[weighted_sample(st, rng)] += 1
         se = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3 * se)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_cancelled_running_total_is_rebuilt(self, seed):
+        # Entries over 500 decades: the Fenwick tree's running total
+        # cancels to -4.89e218 while the weights are [1.33e73, 3519.7,
+        # 1.33e73]; the draw rebuilds the tree instead of refusing.
+        rep = run(SPREAD3, SolverConfig(strategy=Strategy("weighted",
+                                                          seed=seed)))
+        assert rep.termination == "converged"
+        assert imbalance(SPREAD3, rep.u_final).normalized <= 1e-6
+
+    def test_cancelled_total_draws_from_the_weights(self):
+        st = WeightedState(SYM3, np.zeros(3))
+        st.fen.total = -1.0
+        weights = list(st.fen.weights)
+        rng = np.random.default_rng(4)
+        assert {weighted_sample(st, rng) for _ in range(200)} == {0, 1, 2}
+        assert st.fen.total == sum(weights)
 
 
 def _select(state, rng):
@@ -445,6 +469,15 @@ class TestKeptSums:
             except BalancingError:
                 continue
             assert rep.termination in ("converged", "max_cycles")
+
+    def test_overflowing_entry_skips_the_shortcut(self):
+        # Greedy on SPREAD3 takes a step whose kept-sum shortcut raises
+        # OverflowError; the fallback recomputes every touched sum, and
+        # the run ends in ScalingOverflowError without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingOverflowError):
+                run(SPREAD3, SolverConfig(strategy=Strategy("greedy")))
 
 
 def test_cycle_rng_streams_are_reproducible():
