@@ -127,14 +127,16 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
 
     if precision == "lowbit":
         report = run_lowbit(A, LowbitConfig(eps, A.n), cfg.strategy,
-                            max_cycles=max_cycles)
+                            max_cycles=cfg.max_cycles)
     elif parallel_:
         report = run_parallel(A, greedy_color(A), cfg)
     else:
         report = run(A, cfg)
     out = output or matrix_file + ".u"
     write_scaling(out, report.u_final, base2=base2)
-    final = report.trajectory[-1].imbalance if report.trajectory else None
+    # The imbalance of the written scaling, when the last check measured it.
+    final = next((s.imbalance for s in report.trajectory[-1:]
+                  if s.updates == report.updates_used), None)
     if as_json:
         st = stats(A)
         click.echo(json.dumps({
@@ -214,6 +216,8 @@ def cmd_stats(matrix_file, eps):
 @click.option("--eps", default=1e-6, show_default=True)
 def cmd_verify(matrix_file, scaling_file, eps):
     """Exit 0 iff the scaling balances the matrix to tolerance eps."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     A = read_matrix_market(matrix_file)
     u = read_scaling(scaling_file)
     if len(u) != A.n:

@@ -257,6 +257,6 @@ def scaled_matrix(A, u):
 
 def verify_balance(A, u, eps):
     """True iff the normalized L1 imbalance of u is at most eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     return imbalance(A, u).normalized <= eps

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import Strategy, drive
+from .solver import SolverConfig, Strategy, drive
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,9 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     samples carry the verifier's imbalance estimate.  A support that is
     not strongly connected ends at once as ``not_balanceable``.
     """
-    strategy = strategy or Strategy("cyclic")
-    if strategy.kind not in ("cyclic", "shuffled", "fixed"):
+    run = SolverConfig(cfg.eps, max_cycles, strategy=strategy or Strategy())
+    if run.strategy.kind not in ("cyclic", "shuffled", "fixed"):
         raise ValueError("low-bit mode supports cyclic-family strategies only")
-    if max_cycles is not None and max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
     if cfg.n != A.n:
         raise ValueError(f"the precision policy is sized for n = {cfg.n}, "
                          f"but the matrix has n = {A.n}")
@@ -219,5 +217,4 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
         g_hat, decided = inexact_terminate_check(state)
         return g_hat, decided, 2 * A.m  # the row and column passes
 
-    return drive(A, strategy, cfg.eps, max_cycles, update, check,
-                 state.u_float)
+    return drive(A, run, update, check, state.u_float)

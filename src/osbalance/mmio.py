@@ -116,7 +116,7 @@ def write_scaling(path, u, base2=False):
         if not np.all(np.isfinite(u)):
             raise ValueError("a base-2 exponent of the scaling is not finite")
     with open(path, "w") as fh:
-        fh.write("".join(f"{x:.17g}\n" for x in u.tolist()))
+        fh.writelines(f"{x:.17g}\n" for x in u.tolist())
 
 
 def read_scaling(path):

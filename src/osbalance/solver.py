@@ -314,15 +314,16 @@ def order_source(strategy, n, state=None):
     return weighted
 
 
-def drive(A, strategy, eps, max_cycles, update, check, iterate,
-          check_every=1, check_first=False, cycle_hook=None):
+def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
     """The cycle loop of every run: exact, color-class and low-bit.
 
+    cfg, the run's SolverConfig, gives the strategy, the cycle budget
+    (default_max_cycles when it is None) and the check cadence.
     A support that is not strongly connected ends at once as
     ``not_balanceable``; balance its ``scc_decompose`` blocks instead.
     update(k, j) updates index j in cycle k and returns nothing; the
     driver counts the deg(j) nonzeros it reads.  check(cycles) returns
-    (imbalance sample, converged, nonzeros read) every check_every
+    (imbalance sample, converged, nonzeros read) every cfg.check_every
     cycles, and before the first if check_first; the trajectory records
     one sample per check.  iterate() is the current iterate as a
     float64 array, over which greedy and weighted selection keep their
@@ -339,11 +340,11 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
 
     if not A.strongly_connected():
         return report(np.zeros(n), 0, "not_balanceable")
-    kept = {"weighted": WeightedState, "greedy": GreedyState}.get(strategy.kind)
+    kept = {"weighted": WeightedState, "greedy": GreedyState}.get(
+        cfg.strategy.kind)
     state = kept(A, iterate()) if kept else None
-    cycle_order = order_source(strategy, n, state)
-    if max_cycles is None:
-        max_cycles = default_max_cycles(A, eps)
+    cycle_order = order_source(cfg.strategy, n, state)
+    max_cycles = cfg.max_cycles or default_max_cycles(A, cfg.eps)
     nonzeros = 0 if state is None else A.m  # the pass that built state
 
     def checked(cycles):
@@ -366,7 +367,7 @@ def drive(A, strategy, eps, max_cycles, update, check, iterate,
         updates += n
         if cycle_hook is not None:
             cycle_hook(k, iterate())
-        if (k + 1) % check_every == 0:
+        if (k + 1) % cfg.check_every == 0:
             if checked(k + 1):
                 return report(iterate(), k + 1, "converged")
             nonzeros += state.resync() if state is not None else 0
@@ -405,6 +406,5 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
         g = imbalance(A, u).normalized  # also the Parlett trajectory's sample
         return g, g <= cfg.eps if l1 else failed != cycles - 1, A.m
 
-    return drive(A, cfg.strategy, cfg.eps, cfg.max_cycles, update, check,
-                 lambda: u, check_every=cfg.check_every, check_first=l1,
+    return drive(A, cfg, update, check, lambda: u, check_first=l1,
                  cycle_hook=cycle_hook)

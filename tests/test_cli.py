@@ -12,8 +12,8 @@ import osbalance.cli
 import osbalance.core
 from osbalance import (LowbitConfig, SolverConfig, Strategy, build_matrix,
                        gen_kalantari, gen_random_sparse, gen_salient,
-                       read_matrix_market, read_scaling, run, run_lowbit,
-                       write_matrix_market, write_scaling)
+                       imbalance, read_matrix_market, read_scaling, run,
+                       run_lowbit, write_matrix_market, write_scaling)
 from osbalance.cli import main
 
 
@@ -71,6 +71,45 @@ class TestBalance:
                             "imbalance", "kappa", "diameter"}
         assert rep["termination"] == "converged"
         assert rep["imbalance"] <= 1e-10
+
+    def test_imbalance_is_null_when_no_check_saw_the_scaling(self, runner,
+                                                             tmp_path):
+        # With --sample-every 5 and --max-cycles 2 the only check is the
+        # one before the first cycle, which did not measure the scaling.
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(3))
+        args = ["balance", str(mtx), "--eps", "1e-8", "--sample-every", "5",
+                "--max-cycles", "2", "-o", str(tmp_path / "k.u")]
+        res = runner.invoke(main, [*args, "--json"])
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.output.splitlines()[0])["imbalance"] is None
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "imbalance: None\n" in res.output
+
+    def test_imbalance_measures_the_written_scaling(self, runner, tmp_path):
+        mtx, out = tmp_path / "k.mtx", tmp_path / "k.u"
+        A = gen_kalantari(3)
+        write_matrix_market(mtx, A)
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-8",
+                                   "--sample-every", "2", "--max-cycles", "4",
+                                   "--json", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        rep = json.loads(res.output.splitlines()[0])
+        assert rep["cycles"] == 4
+        assert rep["imbalance"] == imbalance(A, read_scaling(out)).normalized
+
+    def test_lowbit_cycle_budget(self, runner, tmp_path):
+        mtx, out = tmp_path / "k.mtx", tmp_path / "k.u"
+        A = gen_kalantari(10)
+        write_matrix_market(mtx, A)
+        res = runner.invoke(main, ["balance", str(mtx), "--precision",
+                                   "lowbit", "--eps", "1e-4", "--max-cycles",
+                                   "1", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        want = run_lowbit(A, LowbitConfig(1e-4, A.n), Strategy("cyclic"),
+                          max_cycles=1).u_final
+        assert read_scaling(out).tobytes() == want.tobytes()
 
     def test_max_cycles_exit_code(self, runner, tmp_path):
         mtx = tmp_path / "k.mtx"
@@ -404,6 +443,15 @@ class TestVerify:
         res = runner.invoke(main, ["verify", str(mtx), str(u),
                                    "--eps", "1.0"])
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_tolerance_must_be_positive(self, runner, tmp_path, eps):
+        # refused before either file is read: neither exists here
+        res = runner.invoke(main, ["verify", str(tmp_path / "a.mtx"),
+                                   str(tmp_path / "a.u"), "--eps", eps])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "error: eps must be positive" in res.output
 
     @pytest.mark.parametrize("text", ["inf\n0\n", "nan\n0\n"])
     def test_non_finite_scaling_is_a_parse_failure(self, runner, tmp_path,

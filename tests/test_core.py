@@ -342,6 +342,11 @@ class TestVerifyBalance:
     def test_unbalanced(self):
         assert not verify_balance(A22, np.zeros(2), 1.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            verify_balance(SYM3, np.zeros(3), eps)
+
     def test_end_to_end(self):
         from osbalance import gen_kalantari
         K = gen_kalantari(40)
