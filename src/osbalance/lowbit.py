@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import NotBalanceableError
 from .solver import SolverConfig, Strategy, drive
 
 
@@ -113,25 +114,38 @@ def log_sum_exp(values, cfg, ctx):
     Shifted exponents below ln(gamma_prime / (2 * count)) contribute the
     floor value instead, which caps the total truncation at
     gamma_prime / 2; each exponential is evaluated at grid resolution.
+    The loop inlines ctx.exp, ctx.log and ctx._check: the same
+    expressions and range checks, so the same result and overflow count.
     """
     if not values:
         raise ValueError("log_sum_exp of an empty list")
     top = max(values)
     if len(values) == 1:
         return top
-    floor = ctx._check(_floor(cfg.gamma_prime, ctx.scale, len(values)))
+    scale, limit, exp = ctx.scale, ctx.limit, math.exp
+    floor = _floor(cfg.gamma_prime, scale, len(values))
+    over = not -limit <= floor < limit
     acc = 0
     for v in values:
         z = v - top
         if z < floor:
             z = floor
-        acc += ctx.exp(z)
-    return top + ctx.log(ctx._check(acc))
+        e = round(exp(z / scale) * scale)
+        if not -limit <= e < limit:
+            over += 1
+        acc += e
+    over += not -limit <= acc < limit
+    q = round(math.log(acc / scale) * scale)
+    ctx.overflows += over + (not -limit <= q < limit)
+    return top + q
 
 
 class LowbitState:
     """Mutable state of a low-precision run: fixed logs of the entries
-    arranged by row and by column, plus the fixed-point iterate."""
+    arranged by row and by column, the fixed-point iterate u, and each
+    vertex's sums_log pair, kept while valid.  u changes only through
+    lowbit_update; a list assigned to u as a whole has no pair kept.
+    reads counts the nonzeros that sums_log has summed."""
 
     def __init__(self, A, cfg):
         self.A = A
@@ -142,19 +156,33 @@ class LowbitState:
         self.row_nbr, self.col_nbr = A.split_incidence(A.inc_idx.tolist())
         self.row_log, self.col_log = A.split_incidence(logs)
         self.u = [0] * A.n
+        self.kept_u, self.kept = self.u, [None] * A.n
+        self.reads = 0
 
     def u_float(self):
         return np.array([self.ctx.to_float(q) for q in self.u])
 
     def sums_log(self, j):
         """(r_log, c_log) of row/column j of the scaled matrix, each within
-        gamma_prime: the fixed-point core.row_col_sums_at."""
+        gamma_prime: the fixed-point core.row_col_sums_at.  The pair is
+        kept, and returned again until an update of j or of a neighbor."""
         u = self.u
-        uj = u[j]
-        r = [q + uj - u[i] for q, i in zip(self.row_log[j], self.row_nbr[j])]
-        c = [q - uj + u[i] for q, i in zip(self.col_log[j], self.col_nbr[j])]
-        return (log_sum_exp(r, self.cfg, self.ctx),
-                log_sum_exp(c, self.cfg, self.ctx))
+        if u is not self.kept_u:  # pairs formed for another list
+            self.kept_u, self.kept = u, [None] * len(u)
+        pair = self.kept[j]
+        if pair is None:
+            row, col = self.row_nbr[j], self.col_nbr[j]
+            if not (row and col):
+                raise NotBalanceableError(
+                    f"row or column {j} is empty; the matrix is not "
+                    f"balanceable (consider scc_decompose)")
+            uj = u[j]
+            r = [q + uj - u[i] for q, i in zip(self.row_log[j], row)]
+            c = [q - uj + u[i] for q, i in zip(self.col_log[j], col)]
+            pair = self.kept[j] = (log_sum_exp(r, self.cfg, self.ctx),
+                                   log_sum_exp(c, self.cfg, self.ctx))
+            self.reads += len(r) + len(c)
+        return pair
 
 
 def lowbit_update(state, j):
@@ -164,10 +192,20 @@ def lowbit_update(state, j):
     within 2 * gamma_prime of the exact half log-ratio of the truncated
     sums, hence the applied ratio e**delta matches sqrt(c/r) to
     relative gamma_prime.
+
+    j's kept pair moves by exactly (+delta, -delta): every row-j term
+    moves by +delta, every column-j term by -delta, and log_sum_exp
+    with its top term.  The pairs of j's neighbors are dropped.
     """
     r_log, c_log = state.sums_log(j)
     delta = state.ctx.half(c_log - r_log)
     state.u[j] = state.ctx._check(state.u[j] + delta)
+    kept = state.kept
+    for i in state.row_nbr[j]:
+        kept[i] = None
+    for i in state.col_nbr[j]:
+        kept[i] = None
+    kept[j] = (r_log + delta, c_log - delta)
     return delta
 
 
@@ -209,12 +247,15 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     state = LowbitState(A, cfg)
 
     def update(k, j):
+        reads = state.reads
         delta = lowbit_update(state, j)
         if update_hook is not None:
             update_hook(state, j, delta)
+        return state.reads - reads
 
     def check(cycles):
+        reads = state.reads
         g_hat, decided = inexact_terminate_check(state)
-        return g_hat, decided, 2 * A.m  # the row and column passes
+        return g_hat, decided, state.reads - reads
 
     return drive(A, run, update, check, state.u_float)

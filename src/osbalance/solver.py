@@ -321,8 +321,8 @@ def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
     (default_max_cycles when it is None) and the check cadence.
     A support that is not strongly connected ends at once as
     ``not_balanceable``; balance its ``scc_decompose`` blocks instead.
-    update(k, j) updates index j in cycle k and returns nothing; the
-    driver counts the deg(j) nonzeros it reads.  check(cycles) returns
+    update(k, j) updates index j in cycle k and returns the nonzeros it
+    read, which the driver adds up.  check(cycles) returns
     (imbalance sample, converged, nonzeros read) every cfg.check_every
     cycles, and before the first if check_first; the trajectory records
     one sample per check.  iterate() is the current iterate as a
@@ -330,7 +330,7 @@ def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
     sums: refreshed after every update, resynced after every check that
     does not end the run.
     """
-    n, start, deg = A.n, time.perf_counter_ns(), A.deg.tolist()
+    n, start = A.n, time.perf_counter_ns()
     updates, nonzeros, trajectory = 0, 0, []
 
     def report(u, cycles, termination):
@@ -360,8 +360,7 @@ def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
 
     for k in range(max_cycles):
         for j in cycle_order(k):
-            update(k, j)
-            nonzeros += deg[j]
+            nonzeros += update(k, j)
             if state is not None:
                 nonzeros += state.refresh(j)
         updates += n
@@ -391,7 +390,7 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     are instrumentation-only callbacks; they do not affect the run.
     """
     l1, radix = cfg.criterion == "l1", cfg.radix_rounding
-    u = np.zeros(A.n)
+    u, deg = np.zeros(A.n), A.deg.tolist()
     failed = -1  # the last cycle with an update failing the Parlett test
 
     def update(k, j):
@@ -401,6 +400,7 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
             failed = k
         if update_hook is not None:
             update_hook(k, j, r, c)
+        return deg[j]
 
     def check(cycles):
         g = imbalance(A, u).normalized  # also the Parlett trajectory's sample

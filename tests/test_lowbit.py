@@ -1,14 +1,18 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osbalance import (FixedContext, LowbitConfig, LowbitState, Strategy,
-                       build_matrix, gen_kalantari, gen_salient, imbalance,
+from osbalance import (FixedContext, LowbitConfig, LowbitState,
+                       NotBalanceableError, Strategy, build_matrix,
+                       gen_kalantari, gen_salient, imbalance,
                        inexact_terminate_check, log_sum_exp, lowbit_update,
                        run_lowbit, stats)
+from osbalance.solver import cycle_rng
 from conftest import dense_instance
 
 mp.mp.prec = 200
@@ -29,6 +33,59 @@ def exact_sums(state, j):
     c = mp.fsum(mp.e ** ((q + state.u[i] - uj) * scale)
                 for q, i in zip(state.col_log[j], state.col_nbr[j]))
     return r, c
+
+
+def reference_log_sum_exp(values, cfg, ctx):
+    """log_sum_exp through ctx.exp, ctx.log and ctx._check, as it was
+    before those calls were inlined into its loop."""
+    top = max(values)
+    if len(values) == 1:
+        return top
+    floor = ctx._check(round(math.log(cfg.gamma_prime / (2.0 * len(values)))
+                             * ctx.scale))
+    acc = 0
+    for v in values:
+        acc += ctx.exp(max(v - top, floor))
+    return top + ctx.log(ctx._check(acc))
+
+
+class FreshState(LowbitState):
+    """LowbitState whose sums_log forms fresh term lists on every call
+    and keeps no pairs: the reference for the kept ones."""
+
+    def sums_log(self, j):
+        u, uj = self.u, self.u[j]
+        r = [q + uj - u[i] for q, i in zip(self.row_log[j], self.row_nbr[j])]
+        c = [q - uj + u[i] for q, i in zip(self.col_log[j], self.col_nbr[j])]
+        return (reference_log_sum_exp(r, self.cfg, self.ctx),
+                reference_log_sum_exp(c, self.cfg, self.ctx))
+
+
+def expected_nonzeros(A, orders):
+    """The nonzeros after each check of a low-bit run whose cycle k
+    updates every index once, in the order orders[k].
+
+    In the first cycle every update of j reads deg(j).  From the second
+    on, an update of j reads nothing when every neighbor of j comes
+    after j in the order: its sums are still those the last check
+    formed.  A check reads deg(j) except for the j whose neighbors all
+    come before j, whose sums its update kept."""
+    nbrs, deg = [set() for _ in range(A.n)], [0] * A.n
+    for i, j, _ in A.entries():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+        deg[i] += 1
+        deg[j] += 1
+    total, out = 0, []
+    for k, order in enumerate(orders):
+        pos = {j: p for p, j in enumerate(order)}
+        for j in order:
+            if k == 0 or any(pos[i] < pos[j] for i in nbrs[j]):
+                total += deg[j]
+            if any(pos[i] > pos[j] for i in nbrs[j]):
+                total += deg[j]
+        out.append(total)
+    return out
 
 
 class TestFixedContext:
@@ -130,6 +187,20 @@ class TestLogSumExp:
         scale = mp.mpf(2) ** (-cfg.frac_bits)
         ref = mp.log(mp.fsum(mp.e ** (q * scale) for q in qs))
         assert abs(got - float(ref)) <= cfg.gamma_prime
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(30, 70), st.sampled_from([1e-1, 1e-3, 1e-6]),
+       st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=12))
+def test_log_sum_exp_equals_reference(frac_bits, gamma_prime, xs):
+    # at 63 fractional bits and more, e**0 alone is out of range
+    cfg = SimpleNamespace(gamma_prime=gamma_prime)
+    ctx, ref_ctx = FixedContext(frac_bits), FixedContext(frac_bits)
+    qs = [ref_ctx.from_float(x) for x in xs]
+    ref_ctx.overflows = 0
+    assert log_sum_exp(qs, cfg, ctx) == reference_log_sum_exp(qs, cfg,
+                                                               ref_ctx)
+    assert ctx.overflows == ref_ctx.overflows
 
 
 class TestLowbitUpdate:
@@ -261,20 +332,41 @@ class TestRunLowbit:
         assert rep.nonzeros_touched <= budget
 
     def test_nonzeros_count_updates_and_checks(self):
-        # one cycle touches every entry twice, and so does the check
+        # the cycle's updates read every entry twice; the check reuses
+        # the sums of vertex 2, whose neighbors both come before it
         rep = run_lowbit(SYM3, LowbitConfig(0.1, 3))
         assert rep.cycles_used == 1
-        assert rep.nonzeros_touched == 4 * SYM3.m
+        assert rep.nonzeros_touched == expected_nonzeros(SYM3, [range(3)])[0]
+        assert rep.nonzeros_touched == 4 * SYM3.m - 4
 
     def test_nonzeros_accumulate_over_a_long_run(self):
-        # each cycle reads every entry twice in its updates and twice in
-        # its check; there is no check before the first cycle
+        # there is no check before the first cycle
         K = gen_kalantari(40)
         rep = run_lowbit(K, LowbitConfig(1e-3, K.n))
         assert rep.termination == "converged"
+        want = expected_nonzeros(K, [range(K.n)] * rep.cycles_used)
         assert [(s.updates, s.nonzeros) for s in rep.trajectory] == \
-            [(K.n * i, 4 * K.m * i) for i in range(1, rep.cycles_used + 1)]
-        assert rep.nonzeros_touched == 4 * K.m * rep.cycles_used == 782136
+            [(K.n * i, w) for i, w in enumerate(want, 1)]
+        assert rep.nonzeros_touched == want[-1] < 4 * K.m * rep.cycles_used
+
+    def test_nonzeros_accumulate_over_a_shuffled_run(self):
+        K = gen_kalantari(10)
+        rep = run_lowbit(K, LowbitConfig(1e-3, K.n),
+                         strategy=Strategy("shuffled", seed=3))
+        assert rep.termination == "converged"
+        orders = [cycle_rng(3, k).permutation(K.n).tolist()
+                  for k in range(rep.cycles_used)]
+        want = expected_nonzeros(K, orders)
+        assert [(s.updates, s.nonzeros) for s in rep.trajectory] == \
+            [(K.n * i, w) for i, w in enumerate(want, 1)]
+        assert rep.nonzeros_touched == want[-1] < 4 * K.m * rep.cycles_used
+
+    def test_empty_row_is_not_balanceable(self):
+        A = build_matrix(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0),
+                             (1, 2, 1.0)])
+        state = LowbitState(A, LowbitConfig(0.1, 3))
+        with pytest.raises(NotBalanceableError, match="row or column 2"):
+            lowbit_update(state, 2)
 
     def test_no_overflow_during_run(self):
         A = dense_instance(8, seed=39)
@@ -309,3 +401,78 @@ def test_no_false_accepts(case):
     rep = run_lowbit(A, LowbitConfig(eps, n), max_cycles=300)
     if rep.termination == "converged":
         assert imbalance(A, rep.u_final).normalized <= eps
+
+
+def labelled_ring(k, perm):
+    """gen_kalantari(k) with vertex i relabelled perm[i]."""
+    K = gen_kalantari(k)
+    return build_matrix(K.n, [(perm[i], perm[j], v)
+                              for i, j, v in K.entries()])
+
+
+def random_support(case):
+    n, ring, extra, eps = case
+    triplets = [(i, (i + 1) % n, 10.0 ** ring[2 * i]) for i in range(n)]
+    triplets += [((i + 1) % n, i, 10.0 ** ring[2 * i + 1]) for i in range(n)]
+    triplets += [(i, j, 10.0 ** e) for i, j, e in extra]
+    return build_matrix(n, triplets), eps
+
+
+supports = st.one_of(
+    st.integers(2, 8).flatmap(ring_plus_entries).map(random_support),
+    st.integers(1, 8).flatmap(lambda k: st.permutations(range(2 * k + 1)))
+    .map(lambda p: (labelled_ring(len(p) // 2, p), 1e-2)))
+
+
+def orders(n):
+    """A cyclic, a seeded shuffled, or a fixed order that visits one
+    index twice and omits another."""
+    fixed = st.permutations(range(n)).map(lambda p: p[:-1] + p[:1])
+    return st.one_of(
+        st.just(Strategy("cyclic")),
+        st.integers(0, 2 ** 16).map(lambda s: Strategy("shuffled", seed=s)),
+        fixed.map(lambda p: Strategy("fixed", order=tuple(p))))
+
+
+def lowbit_run(A, eps, strategy, state_class):
+    seen = {}
+
+    def hook(state, j, delta):
+        seen["state"] = state
+    with mock.patch("osbalance.lowbit.LowbitState", state_class):
+        rep = run_lowbit(A, LowbitConfig(eps, A.n), strategy=strategy,
+                         max_cycles=200, update_hook=hook)
+    return rep, seen["state"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_sums_bitwise_equal_fresh_ones(data):
+    A, eps = data.draw(supports)
+    strategy = data.draw(orders(A.n))
+    rep, state = lowbit_run(A, eps, strategy, LowbitState)
+    ref, ref_state = lowbit_run(A, eps, strategy, FreshState)
+    assert type(ref_state) is FreshState and type(state) is LowbitState
+    assert state.u == ref_state.u
+    assert (rep.cycles_used, rep.updates_used, rep.termination) == \
+        (ref.cycles_used, ref.updates_used, ref.termination)
+    assert [(s.updates, s.imbalance) for s in rep.trajectory] == \
+        [(s.updates, s.imbalance) for s in ref.trajectory]
+    if ref_state.ctx.overflows == 0:
+        assert state.ctx.overflows == 0
+
+
+def test_replaced_iterate_is_summed_afresh():
+    K = gen_kalantari(5)
+    cfg = LowbitConfig(1e-2, K.n)
+    state, fresh = LowbitState(K, cfg), FreshState(K, cfg)
+    rng = np.random.default_rng(11)
+    for trial in range(3):
+        for j in range(K.n):
+            lowbit_update(state, j)
+        inexact_terminate_check(state)  # every pair is kept now
+        state.u = [state.ctx.from_float(float(x))
+                   for x in rng.normal(size=K.n)]
+        fresh.u = list(state.u)
+        assert [state.sums_log(j) for j in range(K.n)] == \
+            [fresh.sums_log(j) for j in range(K.n)]
