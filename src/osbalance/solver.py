@@ -99,15 +99,17 @@ def default_max_cycles(A, eps):
     return 4 * explicit_cycle_bound(log2_kappa(A), eps)
 
 
-def osborne_update(A, u, j, radix_rounding=False):
+def osborne_update(A, u, j, radix_rounding=False, sums=None):
     """Balance row/column j in place; returns the pre-update (r_j, c_j).
 
-    The increment is half the log-ratio of the column to row sum, which
+    sums, when given, is the caller's (r_j, c_j) at u, and no entry of j
+    is read; else the sums are computed from j's deg(j) entries.  The
+    increment is half the log-ratio of the column to row sum, which
     makes both sums equal to their geometric mean.  With radix_rounding
     the increment is rounded to the nearest integer multiple of ln 2,
     keeping the diagonal scaling a power of two.
     """
-    r, c = row_col_sums_at(A, u, j)
+    r, c = row_col_sums_at(A, u, j) if sums is None else finite_sums(*sums)
     delta = 0.5 * (math.log(c) - math.log(r))
     if radix_rounding:
         delta = round(delta / LN2) * LN2
@@ -156,10 +158,12 @@ class _Fenwick:
 
 class _KeptSums:
     """Row and column sums r, c of the iterate, kept as Python lists next
-    to a mirror of u and updated in O(deg j) after an update of j.  A
-    neighbor's sum moves by the change of the shared entry, unless that
-    would cancel more than half of it: then row_col_sums_at recomputes
-    it.  resync() recomputes all sums, bounding the drift."""
+    to a mirror of u and updated in O(deg j) after an update of j.  The
+    update takes its step from the kept r[j], c[j], so this upkeep is
+    the one read of j's entries.  A neighbor's sum moves by the change
+    of the shared entry, unless that would cancel more than half of it:
+    then row_col_sums_at recomputes it.  resync() recomputes all sums,
+    bounding the drift."""
 
     def __init__(self, A, u):
         self.A, self.u = A, u
@@ -322,7 +326,9 @@ def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
     A support that is not strongly connected ends at once as
     ``not_balanceable``; balance its ``scc_decompose`` blocks instead.
     update(k, j) updates index j in cycle k and returns the nonzeros it
-    read, which the driver adds up.  check(cycles) returns
+    read, which the driver adds up; under greedy and weighted it is
+    update(k, j, (r_j, c_j)), given j's kept sums at the iterate, and
+    the refresh that follows reads j's entries.  check(cycles) returns
     (imbalance sample, converged, nonzeros read) every cfg.check_every
     cycles, and before the first if check_first; the trajectory records
     one sample per check.  iterate() is the current iterate as a
@@ -360,8 +366,10 @@ def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
 
     for k in range(max_cycles):
         for j in cycle_order(k):
-            nonzeros += update(k, j)
-            if state is not None:
+            if state is None:
+                nonzeros += update(k, j)
+            else:  # the step comes from j's kept sums; refresh reads j
+                nonzeros += update(k, j, (state.r[j], state.c[j]))
                 nonzeros += state.refresh(j)
         updates += n
         if cycle_hook is not None:
@@ -393,14 +401,14 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     u, deg = np.zeros(A.n), A.deg.tolist()
     failed = -1  # the last cycle with an update failing the Parlett test
 
-    def update(k, j):
+    def update(k, j, sums=None):
         nonlocal failed
-        r, c = osborne_update(A, u, j, radix)
+        r, c = osborne_update(A, u, j, radix, sums)
         if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
             failed = k
         if update_hook is not None:
             update_hook(k, j, r, c)
-        return deg[j]
+        return deg[j] if sums is None else 0
 
     def check(cycles):
         g = imbalance(A, u).normalized  # also the Parlett trajectory's sample

@@ -8,6 +8,7 @@ themselves.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from osbalance import build_matrix, gen_random_sparse
 
@@ -34,6 +35,27 @@ def sparse_balanceable(n, p, seed, lo=0.1, hi=1.0):
         triplets.append((i, j, float(rng.uniform(lo, hi))))
         triplets.append((j, i, float(rng.uniform(lo, hi))))
     return build_matrix(n, triplets)
+
+
+def ring_plus_entries(n):
+    """A bidirectional ring (strongly connected) plus random entries,
+    all with values spread over six decades."""
+    log10 = st.floats(-3.0, 3.0)
+    return st.tuples(
+        st.just(n),
+        st.lists(log10, min_size=2 * n, max_size=2 * n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           log10), max_size=2 * n),
+        st.sampled_from([1e-1, 1e-2, 1e-3]))
+
+
+def random_support(case):
+    """The matrix of a ring_plus_entries case, and its eps."""
+    n, ring, extra, eps = case
+    triplets = [(i, (i + 1) % n, 10.0 ** ring[2 * i]) for i in range(n)]
+    triplets += [((i + 1) % n, i, 10.0 ** ring[2 * i + 1]) for i in range(n)]
+    triplets += [(i, j, 10.0 ** e) for i, j, e in extra]
+    return build_matrix(n, triplets), eps
 
 
 def corpus(seed0=0):

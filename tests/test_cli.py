@@ -253,6 +253,20 @@ class TestBalance:
         assert isinstance(res.exception, SystemExit)
         assert "error: row/column sum overflowed or underflowed" in res.output
 
+    def test_underflowed_kept_sum_exits_4(self, runner, tmp_path):
+        # Under greedy, the resync after the first cycle finds row 2's
+        # sum underflowed to zero; the fifth cycle's step is taken from it.
+        mtx = tmp_path / "u4.mtx"
+        write_matrix_market(mtx, build_matrix(4, [
+            (0, 1, 1.120907503718338e-91), (1, 2, 3.198624667518668e-139),
+            (1, 3, 8.541485890918407e+196), (2, 3, 5.010333771794744e+283),
+            (3, 0, 1.319422062337064e-91)]))
+        res = runner.invoke(main, ["balance", str(mtx), "--strategy",
+                                   "greedy", "-o", str(tmp_path / "u4.u")])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "error: row/column sum overflowed or underflowed" in res.output
+
     @pytest.mark.parametrize("command", [["balance"], ["stats"],
                                          ["balance", "--parallel"]])
     @pytest.mark.parametrize("entry", ["1 2 nan", "1 2 inf",

@@ -13,7 +13,7 @@ from osbalance import (FixedContext, LowbitConfig, LowbitState,
                        inexact_terminate_check, log_sum_exp, lowbit_update,
                        run_lowbit, stats)
 from osbalance.solver import cycle_rng
-from conftest import dense_instance
+from conftest import dense_instance, random_support, ring_plus_entries
 
 mp.mp.prec = 200
 
@@ -378,18 +378,6 @@ class TestRunLowbit:
         assert traps[0].ctx.overflows == 0
 
 
-def ring_plus_entries(n):
-    """A bidirectional ring (strongly connected) plus random entries,
-    all with values spread over six decades."""
-    log10 = st.floats(-3.0, 3.0)
-    return st.tuples(
-        st.just(n),
-        st.lists(log10, min_size=2 * n, max_size=2 * n),
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                           log10), max_size=2 * n),
-        st.sampled_from([1e-1, 1e-2, 1e-3]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8).flatmap(ring_plus_entries))
 def test_no_false_accepts(case):
@@ -408,14 +396,6 @@ def labelled_ring(k, perm):
     K = gen_kalantari(k)
     return build_matrix(K.n, [(perm[i], perm[j], v)
                               for i, j, v in K.entries()])
-
-
-def random_support(case):
-    n, ring, extra, eps = case
-    triplets = [(i, (i + 1) % n, 10.0 ** ring[2 * i]) for i in range(n)]
-    triplets += [((i + 1) % n, i, 10.0 ** ring[2 * i + 1]) for i in range(n)]
-    triplets += [(i, j, 10.0 ** e) for i, j, e in extra]
-    return build_matrix(n, triplets), eps
 
 
 supports = st.one_of(

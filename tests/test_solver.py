@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,13 +13,42 @@ from osbalance import (BalancingError, GreedyState, LowbitConfig,
                        greedy_color, potential, run, run_lowbit,
                        run_parallel, scaled_matrix, stats,
                        theoretical_cycle_bound, weighted_sample)
-from osbalance.core import row_col_sums
+from osbalance import solver
+from osbalance.core import row_col_sums, row_col_sums_at
 from osbalance.solver import cycle_rng, default_max_cycles
-from conftest import dense_instance, dense_potential, sparse_balanceable
+from conftest import (dense_instance, dense_potential, random_support,
+                      ring_plus_entries, sparse_balanceable)
 
 A22 = build_matrix(2, [(0, 1, 4.0), (1, 0, 1.0)])
 SYM3 = build_matrix(3, [(0, 1, 2.0), (1, 0, 2.0), (1, 2, 5.0), (2, 1, 5.0),
                         (0, 2, 1.0), (2, 0, 1.0)])
+
+
+def kernel_calls(monkeypatch):
+    """Wraps the solver's row_col_sums_at; returns the list that gets
+    (calling function, index) of every call."""
+    calls = []
+
+    def kernel(A, u, i):
+        calls.append((sys._getframe(1).f_code.co_name, i))
+        return row_col_sums_at(A, u, i)
+    monkeypatch.setattr(solver, "row_col_sums_at", kernel)
+    return calls
+
+
+def kept_pair_gaps(monkeypatch):
+    """Wraps the solver's osborne_update; returns the list that gets,
+    for every kept pair it is handed, the larger relative gap to
+    row_col_sums_at at that iterate."""
+    gaps, update = [], solver.osborne_update
+
+    def checked(A, u, j, radix_rounding=False, sums=None):
+        if sums is not None:
+            fresh = row_col_sums_at(A, u, j)
+            gaps.append(max(abs(a - b) / b for a, b in zip(sums, fresh)))
+        return update(A, u, j, radix_rounding, sums)
+    monkeypatch.setattr(solver, "osborne_update", checked)
+    return gaps
 
 
 class TestOsborneUpdate:
@@ -51,6 +81,15 @@ class TestOsborneUpdate:
             cj = math.fsum(math.exp(v[i] - v[j]) * D[i, j] for i in range(5))
             assert rj == pytest.approx(gm, rel=1e-12)
             assert cj == pytest.approx(gm, rel=1e-12)
+
+    def test_given_sums_take_the_same_step(self):
+        u, v = np.array([0.3, -0.2, 0.1]), np.array([0.3, -0.2, 0.1])
+        for j in (0, 1, 2, 0):
+            pair = osborne_update(SYM3, u, j, radix_rounding=j == 2)
+            assert osborne_update(SYM3, v, j, j == 2, sums=pair) == pair
+            assert np.array_equal(u, v)
+        with pytest.raises(ScalingOverflowError):
+            osborne_update(SYM3, v, 0, sums=(0.0, 1.0))
 
     def test_descent_identity(self):
         A = sparse_balanceable(10, 0.3, seed=43)
@@ -118,26 +157,23 @@ class TestRun:
         assert default_max_cycles(B, 0.5) == 4 * 80 * 1994 * 4
         assert run(B, SolverConfig()).termination == "converged"
 
-    def test_nonzeros_count_selection_and_checks(self):
+    def test_nonzeros_count_selection_and_checks(self, monkeypatch):
         A = gen_kalantari(3)
         deg = A.deg.tolist()
-        nbrs = [{j for i, j, _ in A.entries() if i == v}
-                | {i for i, j, _ in A.entries() if j == v}
-                for v in range(A.n)]
-        order = []
+        order, recomputed = [], kernel_calls(monkeypatch)
         rep = run(A, SolverConfig(max_cycles=1,
                                   strategy=Strategy("greedy")),
                   update_hook=lambda k, j, r, c: order.append(j))
         assert len(order) == A.n
+        # the kernel runs only on guarded recomputes, and one fires here
+        assert {caller for caller, _ in recomputed} == {"_resum"}
         # state build, initial and final L1 check, the resync after the
-        # failed final check, then each update's own row/column read by
-        # the kernel and again by the upkeep; every guarded neighbor is
-        # recomputed from its own deg(i) entries on top of that
-        base = 4 * A.m + sum(2 * deg[j] for j in order)
-        # rescoring j and its neighbors from scratch costs more
-        old = 3 * A.m + sum(2 * deg[j] + sum(deg[i] for i in nbrs[j])
-                            for j in order)
-        assert base < rep.nonzeros_touched <= old  # a guard fires here
+        # failed final check, then each update's own row/column read
+        # once, by the upkeep; every guarded neighbor is recomputed from
+        # its own deg(i) entries on top of that
+        assert rep.nonzeros_touched == (
+            4 * A.m + sum(deg[j] for j in order)
+            + sum(deg[i] for _, i in recomputed))
         rep = run(A, SolverConfig(max_cycles=1, criterion="parlett"))
         assert rep.termination == "max_cycles"
         # one cycle touches every entry twice; the check samples once
@@ -356,6 +392,13 @@ SPREAD3 = build_matrix(3, [(0, 1, 3.17e247), (0, 2, 1.33e73),
                            (1, 0, 4e-277), (1, 2, 9.77e-242),
                            (2, 0, 4.06e-275), (2, 1, 4.89e218)])
 
+# Greedy's resync after the first cycle finds row 2's sum underflowed.
+UNDER4 = build_matrix(4, [(0, 1, 1.120907503718338e-91),
+                          (1, 2, 3.198624667518668e-139),
+                          (1, 3, 8.541485890918407e+196),
+                          (2, 3, 5.010333771794744e+283),
+                          (3, 0, 1.319422062337064e-91)])
+
 
 class TestWeightedSample:
     def test_uniform_two_point(self):
@@ -478,6 +521,61 @@ class TestKeptSums:
             warnings.simplefilter("error")
             with pytest.raises(ScalingOverflowError):
                 run(SPREAD3, SolverConfig(strategy=Strategy("greedy")))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(ring_plus_entries).map(random_support),
+           st.one_of(st.just(Strategy("greedy")), st.integers(0, 2 ** 16)
+                     .map(lambda s: Strategy("weighted", seed=s))))
+    def test_kept_pair_matches_the_kernel(self, case, strategy):
+        A, eps = case
+        with pytest.MonkeyPatch.context() as mp:
+            gaps = kept_pair_gaps(mp)
+            rep = run(A, SolverConfig(eps=eps, max_cycles=300,
+                                      strategy=strategy))
+        assert len(gaps) == rep.updates_used
+        assert all(gap <= 1e-12 for gap in gaps)
+
+    @pytest.mark.parametrize("A", [gen_kalantari(40), gen_salient(200, 5)],
+                             ids=["ring81", "salient200"])
+    @pytest.mark.parametrize("strategy", [Strategy("greedy"),
+                                          Strategy("weighted", seed=1)],
+                             ids=["greedy", "weighted"])
+    def test_kept_pair_matches_the_kernel_on_fixed_inputs(
+            self, A, strategy, monkeypatch):
+        gaps = kept_pair_gaps(monkeypatch)
+        rep = run(A, SolverConfig(eps=1e-8, max_cycles=30, strategy=strategy))
+        assert len(gaps) == rep.updates_used >= 5 * A.n
+        assert max(gaps) <= 1e-12
+
+    @pytest.mark.parametrize("strategy", [Strategy("greedy"),
+                                          Strategy("weighted", seed=1)],
+                             ids=["greedy", "weighted"])
+    def test_kernel_runs_only_on_guarded_recomputes(self, strategy,
+                                                    monkeypatch):
+        # The update takes its step from the kept pair, so the kernel
+        # runs only where the upkeep's guard recomputes a sum.
+        calls = kernel_calls(monkeypatch)
+        rep = run(gen_kalantari(40), SolverConfig(eps=1e-4,
+                                                  strategy=strategy))
+        assert rep.termination == "converged"
+        assert {caller for caller, _ in calls} == {"_resum"}
+        assert len(calls) < rep.cycles_used
+
+    def test_underflowed_resync_sum_raises_typed_error(self, monkeypatch):
+        # The resync after the first cycle finds row 2's sum underflowed
+        # to zero; the kept pair (0, c) must end the run in the typed
+        # error, not in a math domain error or a numpy warning.
+        pairs, update = [], solver.osborne_update
+
+        def recorded(A, u, j, radix_rounding=False, sums=None):
+            pairs.append(sums)
+            return update(A, u, j, radix_rounding, sums)
+        monkeypatch.setattr(solver, "osborne_update", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingOverflowError):
+                run(UNDER4, SolverConfig(strategy=Strategy("greedy")))
+        assert 0.0 in pairs[-1]
 
 
 def test_cycle_rng_streams_are_reproducible():
