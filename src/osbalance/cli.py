@@ -143,6 +143,7 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
             "termination": report.termination, "cycles": report.cycles_used,
             "updates": report.updates_used,
             "nonzeros": report.nonzeros_touched, "imbalance": final,
+            "overflows": report.overflows,
             "kappa": st.kappa if math.isfinite(st.kappa) else "inf",
             "diameter": st.diameter if math.isfinite(st.diameter) else "inf",
         }))

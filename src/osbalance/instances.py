@@ -191,8 +191,15 @@ def lp_reduce(A, p):
 
 
 def explicit_cycle_bound(log2_kappa, eps):
-    """Worst-case cycles to imbalance eps: 80 ceil(log2 kappa) / eps**2."""
-    return math.ceil(80 * math.ceil(log2_kappa) / eps ** 2)
+    """Worst-case cycles to imbalance eps: 80 ceil(log2 kappa) / eps**2.
+    An eps so small that eps**2 underflows, or the bound overflows,
+    raises ValueError."""
+    square = eps ** 2
+    bound = 80 * math.ceil(log2_kappa) / square if square else math.inf
+    if not bound < math.inf:
+        raise ValueError(f"eps = {eps} is too small: the cycle bound "
+                         f"80 ceil(log2 kappa) / eps**2 is not finite")
+    return math.ceil(bound)
 
 
 def theoretical_cycle_bound(st, eps):

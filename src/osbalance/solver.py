@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NotBalanceableError, finite_sums, imbalance, row_col_sums,
-                   row_col_sums_at)
+from .core import (NotBalanceableError, ScalingOverflowError, finite_sums,
+                   imbalance, row_col_sums, row_col_sums_at)
 from .instances import explicit_cycle_bound, log2_kappa
 
 LN2 = math.log(2.0)
@@ -91,6 +91,7 @@ class BalanceReport:
     trajectory: list[TrajectorySample]
     termination: str               # "converged" | "max_cycles" | "not_balanceable"
     rounds_used: int = 0
+    overflows: int = 0             # a low-bit run's fixed-point range overflows
 
 
 def default_max_cycles(A, eps):
@@ -173,8 +174,12 @@ class _KeptSums:
 
     def resync(self):
         """Recompute every sum from u in one pass over the entries and
-        rebuild the selection structure; returns the nonzeros scanned."""
+        rebuild the selection structure; returns the nonzeros scanned.
+        A sum that underflowed to 0 raises ScalingOverflowError."""
         r, c = row_col_sums(self.A, self.u)
+        if not (r.all() and c.all()):
+            raise ScalingOverflowError("row/column sum overflowed or "
+                                       "underflowed")
         self.r, self.c, self.mirror = r.tolist(), c.tolist(), self.u.tolist()
         self._rebuild()
         return self.A.m

@@ -68,9 +68,25 @@ class TestBalance:
         assert res.exit_code == 0, res.output
         rep = json.loads(res.output.splitlines()[0])
         assert set(rep) == {"termination", "cycles", "updates", "nonzeros",
-                            "imbalance", "kappa", "diameter"}
+                            "imbalance", "overflows", "kappa", "diameter"}
         assert rep["termination"] == "converged"
         assert rep["imbalance"] <= 1e-10
+        assert rep["overflows"] == 0
+
+    @pytest.mark.parametrize("eps, cycles, code", [("1e-3", "2000", 0),
+                                                   ("1e-6", "1", 2)])
+    def test_lowbit_json_reports_overflows(self, runner, tmp_path, eps,
+                                           cycles, code):
+        # 41 fractional bits on 81 vertices fit int64; 61 do not
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(40))
+        res = runner.invoke(main, ["balance", str(mtx), "--precision",
+                                   "lowbit", "--eps", eps, "--max-cycles",
+                                   cycles, "--json", "-o",
+                                   str(tmp_path / "k.u")])
+        assert res.exit_code == code, res.output
+        overflows = json.loads(res.output.splitlines()[0])["overflows"]
+        assert (overflows > 0) == (code == 2)
 
     def test_imbalance_is_null_when_no_check_saw_the_scaling(self, runner,
                                                              tmp_path):
@@ -661,6 +677,16 @@ class TestErrorSurface:
          "matrix dimension must be positive"),
         (["gen", "random", "--n", "-1", "-o", "{out}"],
          "matrix dimension must be positive"),
+        # eps ** 2 underflows to 0, or the cycle bound overflows to inf
+        (["balance", "{ok}", "--eps", "1e-300", "-o", "{out}"],
+         "eps = 1e-300 is too small"),
+        (["balance", "{ok}", "--eps", "1e-160", "-o", "{out}"],
+         "eps = 1e-160 is too small"),
+        (["balance", "{ok}", "--precision", "lowbit", "--eps", "1e-300",
+          "-o", "{out}"], "eps = 1e-300 is too small"),
+        (["balance", "{ok}", "--precision", "lowbit", "--eps", "1e-160",
+          "-o", "{out}"], "eps = 1e-160 is too small"),
+        (["stats", "{ok}", "--eps", "1e-300"], "eps = 1e-300 is too small"),
     ])
     def test_user_errors_exit_4(self, runner, paths, argv, named):
         res = self.invoke(runner, paths, argv)

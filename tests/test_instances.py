@@ -370,3 +370,9 @@ class TestCycleBound:
     def test_rejects_eps_outside_unit_interval(self, eps):
         with pytest.raises(ValueError, match="eps must lie in"):
             theoretical_cycle_bound(stats(gen_kalantari(3)), eps)
+
+    # 1e-300 ** 2 underflows to 0; 80 * 4 / 1e-160 ** 2 overflows to inf
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160])
+    def test_rejects_eps_whose_bound_is_not_finite(self, eps):
+        with pytest.raises(ValueError, match=f"eps = {eps} is too small"):
+            theoretical_cycle_bound(stats(gen_kalantari(3)), eps)

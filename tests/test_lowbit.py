@@ -61,6 +61,14 @@ class FreshState(LowbitState):
                 reference_log_sum_exp(c, self.cfg, self.ctx))
 
 
+class LoopState(LowbitState):
+    """LowbitState whose check forms each pair with sums_log, one vertex
+    at a time: the reference for the one-pass pairs."""
+
+    def form_stale_pairs(self):
+        pass
+
+
 def expected_nonzeros(A, orders):
     """The nonzeros after each check of a low-bit run whose cycle k
     updates every index once, in the order orders[k].
@@ -134,6 +142,13 @@ class TestConfig:
         assert cfg.eps_bar == pytest.approx(0.1 / 3)
         assert cfg.rho == pytest.approx(cfg.eps_bar / 8)
         assert cfg.gamma_prime <= 0.1 ** 2
+
+    # eps**2 / 400 underflows to 0 at 1e-300, and its reciprocal
+    # overflows at 1e-160
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160])
+    def test_tiny_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"eps = {eps} is too small"):
+            LowbitConfig(eps, 7)
 
 
 class TestPreprocess:
@@ -368,6 +383,17 @@ class TestRunLowbit:
         with pytest.raises(NotBalanceableError, match="row or column 2"):
             lowbit_update(state, 2)
 
+    @pytest.mark.parametrize("eps, frac_bits", [(1e-3, 41), (1e-6, 61)])
+    def test_overflows_reported(self, eps, frac_bits):
+        # At 61 bits, every log_sum_exp floor lies outside int64.
+        K = gen_kalantari(40)
+        states = []
+        rep = run_lowbit(K, LowbitConfig(eps, K.n), max_cycles=2,
+                         update_hook=lambda st, j, d: states.append(st))
+        assert states[0].cfg.frac_bits == frac_bits
+        assert rep.overflows == states[0].ctx.overflows
+        assert (rep.overflows > 0) == (frac_bits == 61)
+
     def test_no_overflow_during_run(self):
         A = dense_instance(8, seed=39)
         cfg = LowbitConfig(1e-2, A.n)
@@ -440,6 +466,78 @@ def test_kept_sums_bitwise_equal_fresh_ones(data):
         [(s.updates, s.imbalance) for s in ref.trajectory]
     if ref_state.ctx.overflows == 0:
         assert state.ctx.overflows == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8).flatmap(ring_plus_entries).map(random_support),
+       st.integers(30, 70), st.sampled_from([1e-1, 1e-3, 1e-6]),
+       st.sampled_from([None, 0, 150, 300, -300]), st.integers(0, 66),
+       st.data())
+def test_one_pass_pairs_equal_per_vertex_ones(case, frac_bits, gamma_prime,
+                                              decades, u_bits, data):
+    # Entries over 300 decades and iterates up to 2**66 grid units take
+    # the check past int64, where it must keep the per-vertex loop.
+    # Unit entries (decades None) have logs 0, which leaves the most room
+    # for fine grids.
+    A = case[0]
+    A = A.with_entries(np.ones(A.m) if decades is None
+                       else A.coo_vals * 10.0 ** decades)
+    n = A.n
+    u = data.draw(st.lists(st.integers(-2 ** u_bits, 2 ** u_bits),
+                           min_size=n, max_size=n))
+    updates = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=2 * n))
+    cfg = SimpleNamespace(frac_bits=frac_bits, gamma_prime=gamma_prime,
+                          eps_bar=0.1)
+    state, ref = LowbitState(A, cfg), LoopState(A, cfg)
+    for s in (state, ref):
+        s.u = list(u)
+        for j in updates:
+            lowbit_update(s, j)
+    assert state.kept == ref.kept and None in state.kept
+    reach = max(map(abs, state.u))
+    state.form_stale_pairs()
+    formed = None not in state.kept
+    if frac_bits >= 62 or reach >= 2 ** 62:
+        assert not formed
+    if frac_bits <= 52 and reach <= 2 ** 60 and abs(decades or 0) <= 150:
+        assert formed
+
+    def checked(s):
+        try:
+            return inexact_terminate_check(s)
+        except OverflowError:  # g_hat's exp of a sum far above the total
+            return "overflow"
+    assert checked(state) == checked(ref)
+    assert state.kept == ref.kept
+    assert (state.reads, state.ctx.overflows) == (ref.reads,
+                                                  ref.ctx.overflows)
+
+
+def test_one_pass_guard():
+    # the bench precision passes; the CLI default eps does not, and
+    # neither does an iterate past the room the entry logs leave
+    K = gen_kalantari(40)
+    assert LowbitState(K, LowbitConfig(1e-6, K.n)).u_room == -1
+    state = LowbitState(K, LowbitConfig(1e-3, K.n))
+    assert 0 < state.u_room < 2 ** 61
+    state.u = state.kept_u = [0] * K.n
+    state.u[5] = state.u_room + 1
+    state.form_stale_pairs()
+    assert state.kept == [None] * K.n and state.reads == 0
+    state.u[5] = -state.u_room
+    state.form_stale_pairs()
+    assert None not in state.kept and state.reads == 2 * K.m
+    # nine unit entries per part at 60 bits: the per-vertex sums pass
+    # 2**63 and count overflows, and the pass must leave them to it
+    D = dense_instance(10, seed=3).with_entries(np.ones(90))
+    cfg = SimpleNamespace(frac_bits=60, gamma_prime=0.1, eps_bar=0.1)
+    state, ref = LowbitState(D, cfg), LoopState(D, cfg)
+    for s in (state, ref):
+        lowbit_update(s, 0)
+        inexact_terminate_check(s)
+    assert state.kept == ref.kept and ref.ctx.overflows > 0
+    assert state.ctx.overflows == ref.ctx.overflows
 
 
 def test_replaced_iterate_is_summed_afresh():

@@ -563,8 +563,9 @@ class TestKeptSums:
 
     def test_underflowed_resync_sum_raises_typed_error(self, monkeypatch):
         # The resync after the first cycle finds row 2's sum underflowed
-        # to zero; the kept pair (0, c) must end the run in the typed
-        # error, not in a math domain error or a numpy warning.
+        # to zero.  It ends the run there, in the typed error, not in a
+        # math domain error or a numpy warning, and no update takes its
+        # step from the kept pair (0, c).
         pairs, update = [], solver.osborne_update
 
         def recorded(A, u, j, radix_rounding=False, sums=None):
@@ -573,9 +574,23 @@ class TestKeptSums:
         monkeypatch.setattr(solver, "osborne_update", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ScalingOverflowError):
+            with pytest.raises(ScalingOverflowError,
+                               match="overflowed or underflowed"):
                 run(UNDER4, SolverConfig(strategy=Strategy("greedy")))
-        assert 0.0 in pairs[-1]
+        assert len(pairs) == UNDER4.n
+        assert all(0.0 not in pair for pair in pairs)
+
+    def test_resync_raises_on_a_sum_at_zero(self):
+        u = np.zeros(UNDER4.n)
+        state = GreedyState(UNDER4, u)
+        for _ in range(UNDER4.n):
+            j = greedy_index(state)
+            osborne_update(UNDER4, u, j, sums=(state.r[j], state.c[j]))
+            state.refresh(j)
+        assert 0.0 < min(state.r + state.c)  # the kept sums, moved
+        with pytest.raises(ScalingOverflowError):
+            state.resync()
+        assert row_col_sums(UNDER4, u)[0][2] == 0.0
 
 
 def test_cycle_rng_streams_are_reproducible():
