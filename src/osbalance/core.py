@@ -112,6 +112,16 @@ class SparseNonnegMatrix:
         return memoryview(self.inc_ptr), memoryview(self.inc_ptr[:-1]
                                                     + self.out_deg)
 
+    def incidences(self, vs):
+        """(pos, seg): the flat positions of the incidences of the index
+        array vs, vertex by vertex, each row part before its column part
+        in stored order, and where each vertex's segment of pos starts."""
+        deg = self.deg[vs]
+        seg = np.cumsum(deg) - deg
+        pos = np.repeat(self.inc_ptr[vs] - seg, deg)
+        pos += np.arange(len(pos))
+        return pos, seg
+
     def split_incidence(self, flat):
         """Per-vertex (row part, column part) lists of such a sequence."""
         ptr, mid = self.incidence_bounds()

@@ -11,13 +11,6 @@ sums are evaluated with a floored log-sum-exp so that the per-call
 truncation stays within the iterate tolerance, and termination is
 decided by an inexact verifier whose accept region guarantees the exact
 criterion at three times its threshold.
-
-The verifier forms the sums of every vertex whose pair no update kept
-in one int64 numpy pass, bitwise equal to the per-vertex log-sum-exp,
-wherever a guard shows that every value of that pass fits int64 and no
-overflow would be counted: 41 fractional bits (eps=1e-3 on 81 vertices)
-pass it, 61 (eps=1e-6) fail it and keep the per-vertex loop.  A run
-reports the range overflows it counted as ``BalanceReport.overflows``.
 """
 
 from __future__ import annotations
@@ -45,6 +38,10 @@ class LowbitConfig:
     rho          multiplicative accuracy of the verifier's sum estimates
     frac_bits    fixed-point resolution 2**-frac_bits; sized so that an
                  n-term accumulation stays within gamma_prime
+
+    An eps below 2**-40 (4096 float64 epsilons) raises ValueError: near
+    a balanced iterate both verifiers' float64 sums round at a few
+    epsilons (1.7e-16 on the 7-vertex ring), so it could pass by rounding.
     """
     eps: float
     n: int
@@ -57,16 +54,15 @@ class LowbitConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
+        if self.eps < 4096 * math.ulp(1.0):
+            raise ValueError(f"eps = {self.eps} is too small: a low-bit "
+                             f"certificate needs eps >= 2**-40")
         if self.n < 1:
             raise ValueError("n must be positive")
         object.__setattr__(self, "gamma", self.eps / (8.0 * self.n))
         object.__setattr__(self, "gamma_prime", self.eps ** 2 / 400.0)
         object.__setattr__(self, "eps_bar", self.eps / 3.0)
         object.__setattr__(self, "rho", self.eps_bar / 8.0)
-        if not (self.gamma_prime > 0.0
-                and 1.0 / self.gamma_prime < math.inf):
-            raise ValueError(f"eps = {self.eps} is too small: the low-bit "
-                             f"grid needs 400 / eps**2 to be finite")
         # 4 guard bits plus log2(2n) so that summing n quantized
         # exponentials keeps the total under gamma_prime.
         f = (math.ceil(math.log2(1.0 / self.gamma_prime)) + 4
@@ -176,7 +172,8 @@ class LowbitState:
         # values of at most scale, with c * scale < 2**62, and is clamped
         # at a floor that fits int64; and each exponent v = log +- (u_j -
         # u_i) has |v| < 2**62, which holds while max |u| <= u_room.
-        # Elsewhere u_room is -1, and the check keeps the sums_log loop.
+        # Elsewhere u_room is -1, and the check keeps the sums_log loop:
+        # 41 fractional bits (eps=1e-3 on 81 vertices) pass, 61 do not.
         self.parts = np.stack([A.out_deg, A.deg - A.out_deg], axis=1)
         scale, most = self.ctx.scale, int(self.parts.max())
         floors = [0] + [_floor(cfg.gamma_prime, scale, c)
@@ -226,14 +223,14 @@ class LowbitState:
             return
         js = np.array([j for j, pair in enumerate(kept) if pair is None],
                       dtype=np.intp)
+        idx, seg = A.incidences(js)
         # the row and then the column part of each js[i], in turn
-        count, deg = self.parts[js].ravel(), A.deg[js]
-        bounds = np.cumsum(count) - count
-        idx = np.repeat(A.inc_ptr[js] - bounds[::2], deg) + np.arange(
-            deg.sum())
+        bounds = np.repeat(seg, 2)
+        bounds[1::2] += A.out_deg[js]
+        count = self.parts[js].ravel()
         u = np.array(u, dtype=np.int64)
-        v = self.inc_log[idx] + A.inc_sign[idx] * (np.repeat(u[js], deg)
-                                                   - u[A.inc_idx[idx]])
+        v = self.inc_log[idx] + A.inc_sign[idx] * (
+            np.repeat(u[js], A.deg[js]) - u[A.inc_idx[idx]])
         top = np.maximum.reduceat(v, bounds)
         z = np.maximum(v - np.repeat(top, count),
                        np.repeat(self.floors[count], count))
@@ -248,7 +245,7 @@ class LowbitState:
         sums = iter((top + np.rint(logs * scale).astype(np.int64)).tolist())
         for j, pair in zip(js.tolist(), zip(sums, sums)):
             kept[j] = pair
-        self.reads += int(deg.sum())
+        self.reads += len(idx)
 
 
 def lowbit_update(state, j):

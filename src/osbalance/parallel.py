@@ -62,12 +62,7 @@ def _color_in_rounds(A, colors, pending, ready):
     leaves the other vertices at -1."""
     bit = np.zeros(A.n, dtype=np.int64)  # 1 << color, 0 without a color
     while len(ready) >= _MIN_ROUND:
-        # the other endpoints of the ready vertices' incidences, in one
-        # segment per vertex from seg
-        deg = A.deg[ready]
-        seg = np.cumsum(deg) - deg
-        pos = np.repeat(A.inc_ptr[ready] - seg, deg)
-        pos += np.arange(len(pos))
+        pos, seg = A.incidences(ready)
         nbr = A.inc_idx[pos]
         nbr_bit = bit[nbr]  # 0 exactly at the higher neighbors
         mask = np.bitwise_or.reduceat(nbr_bit, seg)
@@ -86,7 +81,7 @@ def _color_in_order(A, colors):
     smallest color that no neighbor has, reading only the incidences of
     those vertices."""
     rest = np.flatnonzero(colors < 0)
-    nbr, ptr = memoryview(A.inc_idx), memoryview(A.inc_ptr)
+    nbr, (ptr, _) = memoryview(A.inc_idx), A.incidence_bounds()
     order, known = rest.tolist(), colors.tolist()
     for v in order:
         used = {known[w] for w in nbr[ptr[v]:ptr[v + 1]]}
@@ -128,6 +123,7 @@ def run_parallel(A, coloring, cfg, workers=1):
     accepted for compatibility and has no effect on execution.
     """
     validate_coloring(A, coloring)
+    A.strongly_connected()  # cached; searching first lowers peak memory
     order = np.concatenate(color_class_order(coloring))
     report = run(A, replace(cfg, strategy=Strategy("fixed", order=order)))
     report.rounds_used = coloring.num_colors * report.cycles_used

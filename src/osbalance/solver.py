@@ -30,7 +30,7 @@ _SEEDED_KINDS = ("shuffled", "uniform", "weighted")
 
 @dataclass(frozen=True)
 class Strategy:
-    """Index-selection rule.
+    """Index-selection rule; an order is kept as a tuple of ints.
 
     kind:
       cyclic    ascending order 0..n-1 every cycle
@@ -51,6 +51,9 @@ class Strategy:
             raise ValueError(f"strategy {self.kind!r} requires a seed")
         if self.kind == "fixed" and self.order is None:
             raise ValueError("fixed strategy requires an order")
+        if self.order is not None:
+            object.__setattr__(self, "order",
+                               tuple(map(operator.index, self.order)))
 
 
 @dataclass(frozen=True)
@@ -235,12 +238,6 @@ class WeightedState(_KeptSums):
             self.fen.set(i, self.r[i] + self.c[i])
         return nonzeros
 
-    def weight(self, i):
-        return self.fen.weights[i]
-
-    def set_weight(self, i, w):
-        self.fen.set(i, w)
-
 
 def weighted_sample(state, rng):
     """Draw an index with probability proportional to its weight."""
@@ -302,7 +299,7 @@ def order_source(strategy, n, state=None):
         order = range(n)
         return lambda k: order
     if kind == "fixed":
-        order = list(map(operator.index, strategy.order))
+        order = strategy.order
         if len(order) != n:
             raise ValueError(f"fixed order has length {len(order)}, "
                              f"expected n = {n}")

@@ -88,6 +88,23 @@ class TestBalance:
         overflows = json.loads(res.output.splitlines()[0])["overflows"]
         assert (overflows > 0) == (code == 2)
 
+    @pytest.mark.parametrize("eps, code", [(repr(2**-40), 0),
+                                           ("1e-20", 4)])
+    def test_lowbit_certificate_agrees_with_verify(self, runner, tmp_path,
+                                                   eps, code):
+        # At 1e-20 the low-bit check accepted a scaling whose exact
+        # imbalance is 1.7e-16; the floor 2**-40 is the smallest eps taken.
+        mtx, out = tmp_path / "k.mtx", tmp_path / "k.u"
+        write_matrix_market(mtx, gen_kalantari(3))
+        res = runner.invoke(main, ["balance", str(mtx), "--precision",
+                                   "lowbit", "--eps", eps, "-o", str(out)])
+        assert res.exit_code == code, res.output
+        if code:
+            assert f"eps = {eps} is too small" in res.output
+            return
+        res = runner.invoke(main, ["verify", str(mtx), str(out), "--eps", eps])
+        assert res.exit_code == 0, res.output
+
     def test_imbalance_is_null_when_no_check_saw_the_scaling(self, runner,
                                                              tmp_path):
         # With --sample-every 5 and --max-cycles 2 the only check is the

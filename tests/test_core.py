@@ -149,6 +149,42 @@ class TestConstructor:
         assert A.m == 0 and A.coo_vals.dtype == np.float64
 
 
+@st.composite
+def supports_and_vertices(draw):
+    """A unit support, random (isolated vertices and n = 1 included) or a
+    natural or relabelled ring, and an index array of its vertices:
+    empty, every vertex, or any draw, unsorted and with repeats."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=3 * n))
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    else:
+        K = gen_kalantari(draw(st.integers(1, 30)))
+        n, rows, cols = K.n, K.coo_rows, K.coo_cols
+        if draw(st.booleans()):
+            perm = np.random.default_rng(draw(st.integers(0, 99))
+                                         ).permutation(n)
+            rows, cols = perm[rows], perm[cols]
+    A = SparseNonnegMatrix(n, rows, cols, np.ones(len(rows)))
+    vs = draw(st.one_of(st.just([]), st.just(list(range(n))),
+                        st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    return A, np.array(vs, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports_and_vertices())
+def test_incidences_are_the_per_vertex_slices(case):
+    A, vs = case
+    pos, seg = A.incidences(vs)
+    ptr = A.inc_ptr.tolist()
+    slices = [list(range(ptr[v], ptr[v + 1])) for v in vs.tolist()]
+    assert pos.tolist() == [p for part in slices for p in part]
+    assert seg.tolist() == [sum(map(len, slices[:i]))
+                            for i in range(len(slices))]
+
+
 class TestStronglyConnected:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 10).flatmap(lambda n: st.tuples(

@@ -150,6 +150,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"eps = {eps} is too small"):
             LowbitConfig(eps, 7)
 
+    # 4096 float64 epsilons: below it both verifiers' float64 sums can
+    # accept by rounding alone (the 7-vertex ring reads 1.7e-16 at 1e-20)
+    @pytest.mark.parametrize("eps", [1e-20, 1e-13, math.nextafter(2**-40, 0)])
+    def test_eps_below_float64_floor_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"eps = {eps} is too small"):
+            LowbitConfig(eps, 7)
+        assert LowbitConfig(2**-40, 7).eps == 2**-40
+
 
 class TestPreprocess:
     def test_unit_entry_is_exact_zero(self):

@@ -297,6 +297,16 @@ class TestRun:
         with pytest.raises(ValueError):
             Strategy("shuffled")
 
+    def test_fixed_order_hashes_and_compares_by_value(self):
+        # run_parallel passes an ndarray order
+        same = [Strategy("fixed", order=order) for order in (
+            np.arange(3), np.arange(3, dtype=np.int32), [0, 1, 2], (0, 1, 2))]
+        assert all(s == same[0] and hash(s) == hash(same[0]) for s in same)
+        assert all(type(j) is int for j in same[0].order)
+        assert Strategy("fixed", order=np.array([0, 2, 1])) != same[0]
+        with pytest.raises(TypeError):
+            Strategy("fixed", order=np.array([0.0, 1.0, 2.0]))
+
     @staticmethod
     def run_fixed(driver, A, order):
         strategy = Strategy("fixed", order=order)
@@ -415,9 +425,9 @@ class TestWeightedSample:
         A = build_matrix(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0),
                              (2, 1, 1.0)])
         st = WeightedState(A, np.zeros(3))
-        st.set_weight(0, 1.0)
-        st.set_weight(1, 0.0)
-        st.set_weight(2, 0.0)
+        st.fen.set(0, 1.0)
+        st.fen.set(1, 0.0)
+        st.fen.set(2, 0.0)
         rng = np.random.default_rng(1)
         assert all(weighted_sample(st, rng) == 0 for _ in range(200))
 
@@ -425,7 +435,7 @@ class TestWeightedSample:
         A = dense_instance(5, seed=97)
         u = np.random.default_rng(97).normal(scale=0.3, size=5)
         st = WeightedState(A, u)
-        w = np.array([st.weight(i) for i in range(5)])
+        w = np.array([st.fen.weights[i] for i in range(5)])
         p = w / w.sum()
         rng = np.random.default_rng(2)
         draws = 100000
