@@ -174,6 +174,21 @@ def bfs(nbr, lo, hi, source, depth):
     return order
 
 
+def dependency_levels(A, order):
+    """The level of each position of the index sequence order: 1 + the
+    highest level among the earlier positions whose index is its own or
+    a neighbor of it.  Positions of one level touch no common index, so
+    running the order level by level updates every index from the same
+    iterate as running it as given.  One pass over its incidences."""
+    nbr, ptr = memoryview(A.inc_idx), memoryview(A.inc_ptr)
+    last, levels = [0] * A.n, []  # last[j]: the level of j's latest position
+    for j in order:
+        last[j] = level = 1 + max(last[j], max(
+            map(last.__getitem__, nbr[ptr[j]:ptr[j + 1]]), default=0))
+        levels.append(level)
+    return levels
+
+
 def build_matrix(n, triplets):
     """A SparseNonnegMatrix from an iterable of (row, col, value), or
     from a structured array whose three fields are the rows, the columns

@@ -16,13 +16,16 @@ criterion at three times its threshold.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import NotBalanceableError
-from .solver import SolverConfig, Strategy, drive
+from .core import NotBalanceableError, dependency_levels
+from .solver import SolverConfig, Strategy, drive, order_source
+
+_MIN_LEVEL = 8  # a smaller level's pairs are formed faster one at a time
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,6 @@ class FixedContext:
             h += 1
         return h
 
-    def exp(self, q):
-        """e**(q/scale), the float64 value rounded to the grid."""
-        return self._check(round(math.exp(q / self.scale) * self.scale))
-
-    def log(self, q):
-        """ln(q/scale) for q > 0, the float64 value rounded to the grid."""
-        return self._check(round(math.log(q / self.scale) * self.scale))
-
 
 @functools.lru_cache(maxsize=1024)
 def _floor(gamma_prime, scale, count):
@@ -152,7 +147,7 @@ class LowbitState:
     arranged by row and by column, the fixed-point iterate u, and each
     vertex's sums_log pair, kept while valid.  u changes only through
     lowbit_update; a list assigned to u as a whole has no pair kept.
-    reads counts the nonzeros that sums_log and form_stale_pairs have
+    reads counts the nonzeros that sums_log and form_pairs have
     summed."""
 
     def __init__(self, A, cfg):
@@ -166,14 +161,14 @@ class LowbitState:
         self.u = [0] * A.n
         self.kept_u, self.kept = self.u, [None] * A.n
         self.reads = 0
-        # The check forms stale pairs in one int64 pass, form_stale_pairs,
-        # where that pass is exact and sums_log would count no overflow:
-        # no row or column part is empty; a part of c terms sums c grid
-        # values of at most scale, with c * scale < 2**62, and is clamped
-        # at a floor that fits int64; and each exponent v = log +- (u_j -
-        # u_i) has |v| < 2**62, which holds while max |u| <= u_room.
-        # Elsewhere u_room is -1, and the check keeps the sums_log loop:
-        # 41 fractional bits (eps=1e-3 on 81 vertices) pass, 61 do not.
+        # The check and large levels form stale pairs in one int64 pass,
+        # form_pairs, where that pass is exact and sums_log would count no
+        # overflow: no row or column part is empty; a part of c terms sums
+        # c grid values of at most scale, with c * scale < 2**62, and is
+        # clamped at a floor that fits int64; and each exponent v = log
+        # +- (u_j - u_i) has |v| < 2**62, which holds while the |u| read
+        # are <= u_room.  Elsewhere u_room is -1, and sums_log forms every
+        # pair: 41 fractional bits (eps=1e-3 on 81 vertices) pass, 61 do not.
         self.parts = np.stack([A.out_deg, A.deg - A.out_deg], axis=1)
         scale, most = self.ctx.scale, int(self.parts.max())
         floors = [0] + [_floor(cfg.gamma_prime, scale, c)
@@ -212,25 +207,34 @@ class LowbitState:
         return pair
 
     def form_stale_pairs(self):
-        """Form the sums_log pair of every vertex that has none kept, in
-        one int64 numpy pass and bitwise as sums_log would: the same
+        """form_pairs of every vertex."""
+        self.form_pairs(range(self.A.n))
+
+    def form_pairs(self, vs):
+        """Form the sums_log pair of each vertex of vs that has none kept,
+        in one int64 numpy pass and bitwise as sums_log would: the same
         floors, the stdlib exp per term and log per sum, and exact
         integer sums.  A single-term part gets its top, since exp(0) is
-        1.  Where __init__ found the pass inexact, it forms nothing."""
-        u, kept, A = self.u, self.kept, self.A
-        if u is not self.kept_u or not (-self.u_room <= min(u)
-                                        and max(u) <= self.u_room):
+        1.  Where __init__ found the pass inexact, or an iterate value it
+        checks lies past u_room, it forms nothing."""
+        u, kept, A, room = self.u, self.kept, self.A, self.u_room
+        js = [j for j in vs if kept[j] is None] if u is self.kept_u else []
+        if room < 0 or not js:
             return
-        js = np.array([j for j, pair in enumerate(kept) if pair is None],
-                      dtype=np.intp)
-        idx, seg = A.incidences(js)
+        idx, _ = A.incidences(at := np.array(js, dtype=np.intp))
+        # the iterate at each js[i], then at each of its neighbors: taken
+        # from all of u where that is no more to convert than they are
+        near = np.concatenate([at, A.inc_idx[idx]])
+        whole = len(near) >= len(u)
+        src = u if whole else [u[i] for i in near.tolist()]
+        if not (-room <= min(src) and max(src) <= room):
+            return
+        ends = np.array(src, dtype=np.int64)[near if whole else slice(None)]
         # the row and then the column part of each js[i], in turn
-        bounds = np.repeat(seg, 2)
-        bounds[1::2] += A.out_deg[js]
-        count = self.parts[js].ravel()
-        u = np.array(u, dtype=np.int64)
+        count = self.parts[at].ravel()
+        bounds = np.cumsum(count) - count
         v = self.inc_log[idx] + A.inc_sign[idx] * (
-            np.repeat(u[js], A.deg[js]) - u[A.inc_idx[idx]])
+            np.repeat(ends[:len(js)], A.deg[at]) - ends[len(js):])
         top = np.maximum.reduceat(v, bounds)
         z = np.maximum(v - np.repeat(top, count),
                        np.repeat(self.floors[count], count))
@@ -243,7 +247,7 @@ class LowbitState:
         logs = np.fromiter(map(log, (acc / scale).tolist()), np.float64,
                            acc.size)
         sums = iter((top + np.rint(logs * scale).astype(np.int64)).tolist())
-        for j, pair in zip(js.tolist(), zip(sums, sums)):
+        for j, pair in zip(js, zip(sums, sums)):
             kept[j] = pair
         self.reads += len(idx)
 
@@ -303,6 +307,15 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     After every cycle the inexact verifier is consulted.  Trajectory
     samples carry the verifier's imbalance estimate.  A support that is
     not strongly connected ends at once as ``not_balanceable``.
+
+    A cyclic or fixed order runs level by level (dependency_levels),
+    which gives bitwise the iterate of the order as given; the driver
+    and update_hook see that level-major order.  Where the one-pass
+    guard holds, the first update of a level of at least _MIN_LEVEL
+    positions (found by position: an index can repeat) forms the pairs
+    of the level's stale vertices in one form_pairs pass.  Smaller
+    levels, shuffled orders and runs outside the guard form each pair
+    with sums_log.
     """
     run = SolverConfig(cfg.eps, max_cycles, strategy=strategy or Strategy())
     if run.strategy.kind not in ("cyclic", "shuffled", "fixed"):
@@ -311,9 +324,21 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
         raise ValueError(f"the precision policy is sized for n = {cfg.n}, "
                          f"but the matrix has n = {A.n}")
     state = LowbitState(A, cfg)
+    passes, position = {}, itertools.cycle(range(A.n))
+    if run.strategy.kind != "shuffled" and A.strongly_connected():
+        order = order_source(run.strategy, A.n)(0)
+        levels = dependency_levels(A, order)
+        order = [order[p] for p in sorted(range(A.n), key=levels.__getitem__)]
+        run = replace(run, strategy=Strategy("fixed", order=order))
+        sizes = np.bincount(levels)[1:].tolist()
+        starts = itertools.accumulate(sizes, initial=0)
+        passes = {p: order[p:p + size] for p, size in zip(starts, sizes)
+                  if size >= _MIN_LEVEL and state.u_room >= 0}
 
     def update(k, j):
         reads = state.reads
+        if passes and (level := passes.get(next(position))):
+            state.form_pairs(level)
         delta = lowbit_update(state, j)
         if update_hook is not None:
             update_hook(state, j, delta)

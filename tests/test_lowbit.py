@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osbalance import (FixedContext, LowbitConfig, LowbitState,
-                       NotBalanceableError, Strategy, build_matrix,
-                       gen_kalantari, gen_salient, imbalance,
-                       inexact_terminate_check, log_sum_exp, lowbit_update,
-                       run_lowbit, stats)
-from osbalance.solver import cycle_rng
+import osbalance
+from osbalance import (LowbitConfig, LowbitState, NotBalanceableError,
+                       Strategy, build_matrix, gen_kalantari, gen_salient,
+                       imbalance, inexact_terminate_check, log_sum_exp,
+                       lowbit_update, run_lowbit, stats)
+from osbalance.core import dependency_levels
+from osbalance.solver import cycle_rng, order_source
 from conftest import dense_instance, random_support, ring_plus_entries
 
 mp.mp.prec = 200
@@ -20,6 +21,20 @@ mp.mp.prec = 200
 A22 = build_matrix(2, [(0, 1, 4.0), (1, 0, 1.0)])
 SYM3 = build_matrix(3, [(0, 1, 2.0), (1, 0, 2.0), (1, 2, 5.0), (2, 1, 5.0),
                         (0, 2, 1.0), (2, 0, 1.0)])
+
+
+class FixedContext(osbalance.FixedContext):
+    """The fixed-point context with exp and log: the stdlib values
+    rounded to the grid and range-checked, the expressions that
+    log_sum_exp inlines."""
+
+    def exp(self, q):
+        """e**(q/scale), the float64 value rounded to the grid."""
+        return self._check(round(math.exp(q / self.scale) * self.scale))
+
+    def log(self, q):
+        """ln(q/scale) for q > 0, the float64 value rounded to the grid."""
+        return self._check(round(math.log(q / self.scale) * self.scale))
 
 
 def exact_sums(state, j):
@@ -52,6 +67,10 @@ def reference_log_sum_exp(values, cfg, ctx):
 class FreshState(LowbitState):
     """LowbitState whose sums_log forms fresh term lists on every call
     and keeps no pairs: the reference for the kept ones."""
+
+    def __init__(self, A, cfg):
+        super().__init__(A, cfg)
+        self.ctx.__class__ = FixedContext  # the one with exp and log
 
     def sums_log(self, j):
         u, uj = self.u, self.u[j]
@@ -474,6 +493,98 @@ def test_kept_sums_bitwise_equal_fresh_ones(data):
         [(s.updates, s.imbalance) for s in ref.trajectory]
     if ref_state.ctx.overflows == 0:
         assert state.ctx.overflows == 0
+
+
+def brute_levels(A, order):
+    """dependency_levels in O(n**2): each position's level from every
+    earlier position that it touches, found by scanning them all."""
+    touch = {(i, j) for i, j, _ in A.entries()} | {(j, j) for j in order}
+    levels = []
+    for p, j in enumerate(order):
+        levels.append(1 + max((levels[q] for q, i in enumerate(order[:p])
+                               if (i, j) in touch or (j, i) in touch),
+                              default=0))
+    return levels, touch
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dependency_levels_equal_brute_force(data):
+    A, _ = data.draw(supports)
+    order = list(order_source(data.draw(orders(A.n)), A.n)(0))
+    levels, touch = brute_levels(A, order)
+    assert dependency_levels(A, order) == levels
+    # positions of one level touch no common index
+    for p, (i, a) in enumerate(zip(order, levels)):
+        for j, b in zip(order[p + 1:], levels[p + 1:]):
+            assert a != b or not ((i, j) in touch or (j, i) in touch)
+
+
+def run_fields(rep):
+    return (rep.u_final.tobytes(), rep.cycles_used, rep.updates_used,
+            rep.nonzeros_touched,
+            [(s.updates, s.nonzeros, s.imbalance) for s in rep.trajectory],
+            rep.termination, rep.overflows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_level_passes_bitwise_equal_per_vertex_run(data):
+    # eps 1e-6 takes the grid past the one-pass guard
+    A, eps = data.draw(supports)
+    eps = data.draw(st.sampled_from([eps, 1e-6]))
+    strategy = data.draw(orders(A.n))
+    form_pairs, levels_of = LowbitState.form_pairs, dependency_levels
+    calls = []
+
+    def spy(state, vs):
+        calls.append(isinstance(vs, range))
+        return form_pairs(state, vs)
+
+    def as_given(A, order):  # one level per position: the order itself
+        return list(range(1, len(order) + 1))
+
+    def fields(min_level, levels=levels_of):
+        calls.clear()
+        with mock.patch("osbalance.lowbit._MIN_LEVEL", min_level), \
+                mock.patch("osbalance.lowbit.dependency_levels", levels), \
+                mock.patch.object(LowbitState, "form_pairs", spy):
+            rep = run_lowbit(A, LowbitConfig(eps, A.n), strategy=strategy,
+                             max_cycles=200)
+        return run_fields(rep), calls.count(False)
+
+    ref, passes = fields(A.n + 1, as_given)
+    assert passes == 0
+    assert fields(A.n + 1) == (ref, 0)
+    every, passes = fields(1)
+    assert every == ref
+    guarded = LowbitState(A, LowbitConfig(eps, A.n)).u_room >= 0
+    assert (passes > 0) == (guarded and strategy.kind != "shuffled")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_run_is_the_permuted_run(data):
+    # log_sum_exp adds integers, so the order of its terms does not
+    # matter; only the check's float g_hat sums in index order
+    A, eps = data.draw(supports)
+    n, eps = A.n, data.draw(st.sampled_from([eps, 1e-6]))
+    perm = data.draw(st.permutations(range(n)))
+    order = data.draw(st.one_of(st.just(list(range(n))), st.permutations(
+        range(n)).map(lambda p: p[:-1] + p[:1])))
+    B = build_matrix(n, [(perm[i], perm[j], v) for i, j, v in A.entries()])
+    rep, rel = (run_lowbit(M, LowbitConfig(eps, n), max_cycles=200,
+                           strategy=Strategy("fixed", order=o))
+                for M, o in ((A, order), (B, [perm[j] for j in order])))
+    assert rel.u_final[list(perm)].tobytes() == rep.u_final.tobytes()
+    assert (rel.cycles_used, rel.updates_used, rel.nonzeros_touched,
+            rel.termination, rel.overflows) == \
+        (rep.cycles_used, rep.updates_used, rep.nonzeros_touched,
+         rep.termination, rep.overflows)
+    assert [(s.updates, s.nonzeros) for s in rel.trajectory] == \
+        [(s.updates, s.nonzeros) for s in rep.trajectory]
+    assert [s.imbalance for s in rel.trajectory] == pytest.approx(
+        [s.imbalance for s in rep.trajectory], rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
