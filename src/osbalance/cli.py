@@ -23,7 +23,7 @@ from . import __version__
 from .core import BalancingError, ScalingOverflowError, imbalance
 from .instances import (gen_kalantari, gen_random_sparse, gen_salient, stats,
                         theoretical_cycle_bound)
-from .lowbit import LowbitConfig, run_lowbit
+from .lowbit import run_lowbit
 from .mmio import (ParseError, read_matrix_market, read_scaling,
                    write_matrix_market, write_scaling)
 from .parallel import greedy_color, run_parallel
@@ -106,14 +106,8 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
                 precision, radix_rounding, parallel_, sample_every, as_json,
                 base2, output):
     """Balance a MatrixMarket file and write the log-domain scaling."""
-    unsupported = [option for option, used in (
-        (f"--strategy {strategy}", strategy not in ("cyclic", "shuffled")),
-        (f"--criterion {criterion}", criterion != "l1"),
-        ("--radix-rounding", radix_rounding), ("--parallel", parallel_),
-        (f"--sample-every {sample_every}", sample_every != 1))
-        if used and precision == "lowbit"]
-    if unsupported:
-        _fail(f"low-bit mode does not support {', '.join(unsupported)}")
+    if parallel_ and precision == "lowbit":
+        _fail("low-bit mode does not support --parallel")
     cfg = _config(eps, max_cycles, strategy, seed, sample_every,
                   criterion=criterion, radix_rounding=radix_rounding)
     A = read_matrix_market(matrix_file)
@@ -126,8 +120,7 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
               "blocks (scc_decompose) and balance each separately.", code=3)
 
     if precision == "lowbit":
-        report = run_lowbit(A, LowbitConfig(eps, A.n), cfg.strategy,
-                            max_cycles=cfg.max_cycles)
+        report = run_lowbit(A, cfg)
     elif parallel_:
         report = run_parallel(A, greedy_color(A), cfg)
     else:
@@ -145,7 +138,7 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
             "nonzeros": report.nonzeros_touched, "imbalance": final,
             "overflows": report.overflows,
             "kappa": st.kappa if math.isfinite(st.kappa) else "inf",
-            "diameter": st.diameter if math.isfinite(st.diameter) else "inf",
+            "diameter": "inf" if st.diameter == math.inf else st.diameter,
         }))
     else:
         click.echo(f"termination: {report.termination}")
@@ -207,7 +200,8 @@ def cmd_stats(matrix_file, eps):
     except BalancingError:
         bound = "withheld (not strongly connected)"
     for field in dataclasses.fields(st):
-        click.echo(f"{field.name}: {getattr(st, field.name)}")
+        value = getattr(st, field.name)
+        click.echo(f"{field.name}: {'withheld' if value is None else value}")
     click.echo(f"cycle_bound[eps={eps}]: {bound}")
 
 

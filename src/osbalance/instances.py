@@ -4,7 +4,8 @@ All generators take explicit seeds and are reproducible.  The diameter
 is one ``core.bfs`` from every vertex.  Each search stops once every
 vertex has been reached, so a complete support costs O(n*deg) in all,
 but a sparse one still costs O(n*m); only ``stats`` runs it, so only
-``osbalance stats`` and ``balance --json`` pay for it, after the run.
+``osbalance stats`` and ``balance --json`` pay for it, after the run,
+and only while n*m is at most DIAMETER_MAX_WORK.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ import numpy as np
 from .core import (_MAX_N, BalancingError, SparseNonnegMatrix, bfs,
                    build_matrix)
 
+# The largest n*m whose diameter stats computes: gen_kalantari(1447),
+# just under it, takes 2.1 s on a 2-vCPU shared x86-64 host.
+DIAMETER_MAX_WORK = 1 << 24
+
 
 @dataclass(frozen=True)
 class InstanceStats:
@@ -24,7 +29,8 @@ class InstanceStats:
     m: int
     kappa: float           # math.inf when sum/min overflows
     log2_kappa: float      # finite even then
-    diameter: float        # math.inf when not strongly connected
+    diameter: float | None  # math.inf when not strongly connected,
+                            # None (withheld) past DIAMETER_MAX_WORK
     strongly_connected: bool
     max_degree: int        # distinct undirected-support neighbors
 
@@ -107,7 +113,9 @@ def log2_kappa(A):
 
 
 def stats(A):
-    """Conditioning, diameter, connectivity and degree of the support."""
+    """Conditioning, diameter, connectivity and degree of the support.
+    The diameter of a strongly connected support is withheld (None)
+    when n*m exceeds DIAMETER_MAX_WORK."""
     if A.m == 0:
         raise BalancingError("stats of an empty matrix are undefined")
     with np.errstate(over="ignore"):
@@ -115,8 +123,8 @@ def stats(A):
     # list copies, not views: the search from every source re-reads them
     nbr, (ptr, mid) = A.inc_idx.tolist(), map(list, A.incidence_bounds())
     max_degree = max(len(set(nbr[ptr[j]:ptr[j + 1]])) for j in range(A.n))
-    diameter = math.inf
-    if A.strongly_connected():
+    diameter = None if A.strongly_connected() else math.inf
+    if diameter is None and A.n * A.m <= DIAMETER_MAX_WORK:
         # Eccentricity of s: the depth of the last vertex reached from s.
         ecc = []
         for s in range(A.n):
@@ -208,6 +216,7 @@ def theoretical_cycle_bound(st, eps):
         raise ValueError("eps must lie in (0, 1]")
     if not st.strongly_connected:
         raise BalancingError("cycle bound requires strong connectivity")
-    shape = (st.log2_kappa * math.log(2.0) / eps) * min(1.0 / eps,
-                                                        st.diameter)
+    reach = 1.0 / eps if st.diameter is None else min(1.0 / eps,
+                                                       st.diameter)
+    shape = st.log2_kappa * math.log(2.0) / eps * reach
     return CycleBound(explicit_cycle_bound(st.log2_kappa, eps), shape)

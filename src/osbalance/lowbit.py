@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import NotBalanceableError, dependency_levels
-from .solver import SolverConfig, Strategy, drive, order_source
+from .solver import Strategy, drive, order_source
 
 _MIN_LEVEL = 8  # a smaller level's pairs are formed faster one at a time
 
@@ -301,12 +301,12 @@ def inexact_terminate_check(state):
     return g_hat, g_hat <= state.cfg.eps_bar
 
 
-def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
-    """Cyclic-family balancing run entirely in the fixed-point domain.
-
-    After every cycle the inexact verifier is consulted.  Trajectory
-    samples carry the verifier's imbalance estimate.  A support that is
-    not strongly connected ends at once as ``not_balanceable``.
+def run_lowbit(A, cfg, update_hook=None):
+    """Cyclic-family balancing run entirely in the fixed-point domain,
+    under cfg, the run's SolverConfig, with LowbitConfig(cfg.eps, A.n).
+    A strategy other than cyclic, shuffled or fixed, criterion parlett
+    and radix_rounding raise ValueError.  The check is the inexact
+    verifier, whose imbalance estimate the trajectory samples carry.
 
     A cyclic or fixed order runs level by level (dependency_levels),
     which gives bitwise the iterate of the order as given; the driver
@@ -317,19 +317,15 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
     levels, shuffled orders and runs outside the guard form each pair
     with sums_log.
     """
-    run = SolverConfig(cfg.eps, max_cycles, strategy=strategy or Strategy())
-    if run.strategy.kind not in ("cyclic", "shuffled", "fixed"):
-        raise ValueError("low-bit mode supports cyclic-family strategies only")
-    if cfg.n != A.n:
-        raise ValueError(f"the precision policy is sized for n = {cfg.n}, "
-                         f"but the matrix has n = {A.n}")
-    state = LowbitState(A, cfg)
+    cfg.require("low-bit mode", strategy=("cyclic", "shuffled", "fixed"),
+                criterion=("l1",), radix_rounding=(False,))
+    state = LowbitState(A, LowbitConfig(cfg.eps, A.n))
     passes, position = {}, itertools.cycle(range(A.n))
-    if run.strategy.kind != "shuffled" and A.strongly_connected():
-        order = order_source(run.strategy, A.n)(0)
+    if cfg.strategy.kind != "shuffled" and A.strongly_connected():
+        order = order_source(cfg.strategy, A.n)(0)
         levels = dependency_levels(A, order)
         order = [order[p] for p in sorted(range(A.n), key=levels.__getitem__)]
-        run = replace(run, strategy=Strategy("fixed", order=order))
+        cfg = replace(cfg, strategy=Strategy("fixed", order=order))
         sizes = np.bincount(levels)[1:].tolist()
         starts = itertools.accumulate(sizes, initial=0)
         passes = {p: order[p:p + size] for p, size in zip(starts, sizes)
@@ -349,6 +345,6 @@ def run_lowbit(A, cfg, strategy=None, max_cycles=None, update_hook=None):
         g_hat, decided = inexact_terminate_check(state)
         return g_hat, decided, state.reads - reads
 
-    report = drive(A, run, update, check, state.u_float)
+    report = drive(A, cfg, update, check, state.u_float)
     report.overflows = state.ctx.overflows
     return report

@@ -118,10 +118,11 @@ def run_parallel(A, coloring, cfg, workers=1):
     """Balance A processing color classes in ascending order each cycle.
 
     This is run(A, cfg) with the fixed order that concatenates the color
-    classes, so the result is bitwise equal to that sequential run.  The
-    report counts one round per color class per cycle.  workers is
-    accepted for compatibility and has no effect on execution.
+    classes, bitwise; that order replaces cfg's strategy, so any but the
+    cyclic default raises ValueError.  The report counts one round per
+    color class per cycle.  workers is accepted and has no effect.
     """
+    cfg.require("a color-class run", strategy=("cyclic",))
     validate_coloring(A, coloring)
     A.strongly_connected()  # cached; searching first lowers peak memory
     order = np.concatenate(color_class_order(coloring))

@@ -42,7 +42,7 @@ class Strategy:
     """
     kind: str = "cyclic"
     seed: int | None = None
-    order: tuple[int, ...] | np.ndarray | None = None
+    order: tuple[int, ...] | np.ndarray | None = None  # fixed only
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -51,6 +51,8 @@ class Strategy:
             raise ValueError(f"strategy {self.kind!r} requires a seed")
         if self.kind == "fixed" and self.order is None:
             raise ValueError("fixed strategy requires an order")
+        if self.kind != "fixed" and self.order is not None:
+            raise ValueError(f"strategy {self.kind!r} takes no order")
         if self.order is not None:
             object.__setattr__(self, "order",
                                tuple(map(operator.index, self.order)))
@@ -74,6 +76,15 @@ class SolverConfig:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.check_every < 1:
             raise ValueError("check_every must be at least 1")
+
+    def require(self, driver, **honoured):
+        """Refuse, naming the field, a value that driver cannot honour:
+        honoured maps fields to the values (a strategy's kinds) it can."""
+        for name, values in honoured.items():
+            value = getattr(self, name)
+            if getattr(value, "kind", value) not in values:
+                raise ValueError(f"{driver} does not support {name} = "
+                                 f"{getattr(value, 'kind', value)!r}")
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def test_acceptance_06_lowbit_soundness():
                 nonlocal_contracts[0] += 1
 
             nonlocal_contracts = [0]
-            rep = run_lowbit(A, cfg, update_hook=on_update)
+            rep = run_lowbit(A, SolverConfig(eps), update_hook=on_update)
             runs += 1
             contracts += nonlocal_contracts[0]
             assert rep.termination == "converged"

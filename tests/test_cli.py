@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 import osbalance.cli
 import osbalance.core
-from osbalance import (LowbitConfig, SolverConfig, Strategy, build_matrix,
+import osbalance.instances
+from osbalance import (SolverConfig, Strategy, build_matrix,
                        gen_kalantari, gen_random_sparse, gen_salient,
                        imbalance, read_matrix_market, read_scaling, run,
                        run_lowbit, write_matrix_market, write_scaling)
@@ -140,8 +141,8 @@ class TestBalance:
                                    "lowbit", "--eps", "1e-4", "--max-cycles",
                                    "1", "-o", str(out)])
         assert res.exit_code == 2, res.output
-        want = run_lowbit(A, LowbitConfig(1e-4, A.n), Strategy("cyclic"),
-                          max_cycles=1).u_final
+        want = run_lowbit(A, SolverConfig(1e-4, max_cycles=1,
+                                          strategy=Strategy("cyclic"))).u_final
         assert read_scaling(out).tobytes() == want.tobytes()
 
     def test_max_cycles_exit_code(self, runner, tmp_path):
@@ -183,26 +184,41 @@ class TestBalance:
                                    strategy, "--seed", "5", "-o", str(out)])
         assert res.exit_code == 0, res.output
         A = read_matrix_market(mtx)
-        rep = run_lowbit(A, LowbitConfig(1e-3, A.n),
-                         Strategy(strategy, seed=5))
+        rep = run_lowbit(A, SolverConfig(1e-3,
+                                         strategy=Strategy(strategy, seed=5)))
         assert read_scaling(out).tolist() == rep.u_final.tolist()
+
+    def test_lowbit_sample_every_is_passed(self, runner, tmp_path):
+        mtx, out, ref = (tmp_path / name for name in ("k.mtx", "k.u", "r.u"))
+        write_matrix_market(mtx, gen_kalantari(10))
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-3",
+                                   "--precision", "lowbit", "--sample-every",
+                                   "2", "--json", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        rep = run_lowbit(read_matrix_market(mtx),
+                         SolverConfig(1e-3, check_every=2))
+        write_scaling(ref, rep.u_final)
+        assert out.read_bytes() == ref.read_bytes()
+        assert json.loads(res.output)["cycles"] == rep.cycles_used
+        assert len(rep.trajectory) == rep.cycles_used // 2
 
     @pytest.mark.parametrize("extra, named", [
         (["--strategy", "bogus"], "unknown strategy 'bogus'"),
         (["--strategy", "bogus", "--precision", "lowbit"],
-         "--strategy bogus"),
+         "unknown strategy 'bogus'"),
         (["--strategy", "greedy", "--precision", "lowbit"],
-         "--strategy greedy"),
+         "strategy = 'greedy'"),
         (["--strategy", "uniform", "--precision", "lowbit"],
-         "--strategy uniform"),
+         "strategy = 'uniform'"),
         (["--strategy", "weighted", "--precision", "lowbit"],
-         "--strategy weighted"),
+         "strategy = 'weighted'"),
         (["--criterion", "parlett", "--precision", "lowbit"],
-         "--criterion parlett"),
-        (["--radix-rounding", "--precision", "lowbit"], "--radix-rounding"),
+         "criterion = 'parlett'"),
+        (["--radix-rounding", "--precision", "lowbit"],
+         "radix_rounding = True"),
         (["--parallel", "--precision", "lowbit"], "--parallel"),
-        (["--sample-every", "2", "--precision", "lowbit"],
-         "--sample-every 2"),
+        (["--parallel", "--strategy", "shuffled"], "strategy = 'shuffled'"),
+        (["--parallel", "--strategy", "greedy"], "strategy = 'greedy'"),
         (["--eps", "2"], "eps must lie in (0, 1)"),
         (["--sample-every", "0"], "--sample-every must be at least 1"),
     ])
@@ -428,6 +444,20 @@ class TestStats:
         assert res.exit_code == 0
         assert "kappa: 8280" in res.output
         assert "diameter: 40" in res.output
+
+    def test_diameter_withheld_past_the_work_bound(self, runner, tmp_path,
+                                                  monkeypatch):
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(40))
+        monkeypatch.setattr(osbalance.instances, "DIAMETER_MAX_WORK", 100)
+        res = runner.invoke(main, ["stats", str(mtx), "--eps", "0.01"])
+        assert res.exit_code == 0, res.output
+        assert "diameter: withheld\n" in res.output
+        assert "cycle_bound[eps=0.01]: 11200000" in res.output
+        res = runner.invoke(main, ["balance", str(mtx), "--eps", "1e-4",
+                                   "--json", "-o", str(tmp_path / "k.u")])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["diameter"] is None
 
     def test_complete_ones(self, runner, tmp_path):
         mtx = tmp_path / "c.mtx"

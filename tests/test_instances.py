@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import osbalance.core
+import osbalance.instances
 from osbalance import (BalancingError, ScalingOverflowError, SolverConfig,
                        build_matrix,
                        gen_kalantari,
@@ -176,6 +177,26 @@ class TestStats:
         st = stats(A)
         assert not st.strongly_connected
         assert st.diameter == math.inf
+
+    def test_diameter_withheld_past_the_work_bound(self, monkeypatch):
+        K = gen_kalantari(40)
+        monkeypatch.setattr(osbalance.instances, "DIAMETER_MAX_WORK",
+                            K.n * K.m)
+        assert stats(K).diameter == 40
+        monkeypatch.setattr(osbalance.instances, "DIAMETER_MAX_WORK",
+                            K.n * K.m - 1)
+        st = stats(K)
+        assert st.strongly_connected and st.diameter is None
+        assert st.kappa == pytest.approx(8280.0, rel=1e-12)
+        # the shape takes 1/eps in place of min(1/eps, diameter)
+        b = theoretical_cycle_bound(st, 0.01)
+        assert b.explicit == 11_200_000
+        assert b.asymptotic_shape == pytest.approx(
+            st.log2_kappa * math.log(2.0) / 0.01 * 100.0, rel=1e-12)
+        A = build_matrix(4, [(0, 1, 1.0), (1, 0, 1.0),
+                             (2, 3, 1.0), (3, 2, 1.0)])
+        monkeypatch.setattr(osbalance.instances, "DIAMETER_MAX_WORK", 0)
+        assert stats(A).diameter == math.inf
 
     def test_kappa_at_least_m(self):
         for seed in range(4):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import osbalance
 from osbalance import (LowbitConfig, LowbitState, NotBalanceableError,
-                       Strategy, build_matrix, gen_kalantari, gen_salient,
-                       imbalance, inexact_terminate_check, log_sum_exp,
-                       lowbit_update, run_lowbit, stats)
+                       SolverConfig, Strategy, build_matrix, gen_kalantari,
+                       gen_salient, imbalance, inexact_terminate_check,
+                       log_sum_exp, lowbit_update, run_lowbit, stats)
 from osbalance.core import dependency_levels
 from osbalance.solver import cycle_rng, order_source
 from conftest import dense_instance, random_support, ring_plus_entries
@@ -325,47 +325,39 @@ class TestInexactCheck:
 class TestRunLowbit:
     def test_kalantari_verified_exactly(self):
         K = gen_kalantari(40)
-        cfg = LowbitConfig(1e-3, K.n)
+        cfg = SolverConfig(1e-3)
         rep = run_lowbit(K, cfg)
         assert rep.termination == "converged"
         assert imbalance(K, rep.u_final).normalized <= 1e-3
 
     def test_symmetric_single_cycle(self):
-        cfg = LowbitConfig(0.1, 3)
+        cfg = SolverConfig(0.1)
         rep = run_lowbit(SYM3, cfg)
         assert rep.termination == "converged"
         assert rep.cycles_used <= 1
 
     def test_shuffled_strategy(self):
         K = gen_kalantari(5)
-        cfg = LowbitConfig(1e-2, K.n)
-        rep = run_lowbit(K, cfg, strategy=Strategy("shuffled", seed=3))
+        cfg = SolverConfig(1e-2, strategy=Strategy("shuffled", seed=3))
+        rep = run_lowbit(K, cfg)
         assert rep.termination == "converged"
         assert imbalance(K, rep.u_final).normalized <= 1e-2
 
     def test_random_kind_rejected(self):
         with pytest.raises(ValueError):
-            run_lowbit(A22, LowbitConfig(0.1, 2),
-                       strategy=Strategy("uniform", seed=1))
+            run_lowbit(A22, SolverConfig(0.1,
+                                         strategy=Strategy("uniform", seed=1)))
 
     @pytest.mark.parametrize("max_cycles", [0, -3])
     def test_max_cycles_below_one_rejected(self, max_cycles):
         with pytest.raises(ValueError, match="max_cycles must be at least 1"):
-            run_lowbit(A22, LowbitConfig(0.1, 2), max_cycles=max_cycles)
-
-    def test_config_for_another_n_rejected(self):
-        # sized for n = 2, the policy would run gen_kalantari(40) at 35
-        # fractional bits, not 41, with a gamma 40 times too coarse
-        K = gen_kalantari(40)
-        with pytest.raises(ValueError,
-                           match="n = 2, but the matrix has n = 81"):
-            run_lowbit(K, LowbitConfig(1e-3, 2))
+            run_lowbit(A22, SolverConfig(0.1, max_cycles=max_cycles))
 
     def test_salient_operation_budget(self):
         A = gen_salient(200, 5, seed=2)
         st = stats(A)
         eps = 1e-2
-        cfg = LowbitConfig(eps, A.n)
+        cfg = SolverConfig(eps)
         rep = run_lowbit(A, cfg)
         assert rep.termination == "converged"
         assert imbalance(A, rep.u_final).normalized <= eps
@@ -376,7 +368,7 @@ class TestRunLowbit:
     def test_nonzeros_count_updates_and_checks(self):
         # the cycle's updates read every entry twice; the check reuses
         # the sums of vertex 2, whose neighbors both come before it
-        rep = run_lowbit(SYM3, LowbitConfig(0.1, 3))
+        rep = run_lowbit(SYM3, SolverConfig(0.1))
         assert rep.cycles_used == 1
         assert rep.nonzeros_touched == expected_nonzeros(SYM3, [range(3)])[0]
         assert rep.nonzeros_touched == 4 * SYM3.m - 4
@@ -384,7 +376,7 @@ class TestRunLowbit:
     def test_nonzeros_accumulate_over_a_long_run(self):
         # there is no check before the first cycle
         K = gen_kalantari(40)
-        rep = run_lowbit(K, LowbitConfig(1e-3, K.n))
+        rep = run_lowbit(K, SolverConfig(1e-3))
         assert rep.termination == "converged"
         want = expected_nonzeros(K, [range(K.n)] * rep.cycles_used)
         assert [(s.updates, s.nonzeros) for s in rep.trajectory] == \
@@ -393,8 +385,8 @@ class TestRunLowbit:
 
     def test_nonzeros_accumulate_over_a_shuffled_run(self):
         K = gen_kalantari(10)
-        rep = run_lowbit(K, LowbitConfig(1e-3, K.n),
-                         strategy=Strategy("shuffled", seed=3))
+        rep = run_lowbit(K, SolverConfig(
+            1e-3, strategy=Strategy("shuffled", seed=3)))
         assert rep.termination == "converged"
         orders = [cycle_rng(3, k).permutation(K.n).tolist()
                   for k in range(rep.cycles_used)]
@@ -415,7 +407,7 @@ class TestRunLowbit:
         # At 61 bits, every log_sum_exp floor lies outside int64.
         K = gen_kalantari(40)
         states = []
-        rep = run_lowbit(K, LowbitConfig(eps, K.n), max_cycles=2,
+        rep = run_lowbit(K, SolverConfig(eps, max_cycles=2),
                          update_hook=lambda st, j, d: states.append(st))
         assert states[0].cfg.frac_bits == frac_bits
         assert rep.overflows == states[0].ctx.overflows
@@ -423,7 +415,7 @@ class TestRunLowbit:
 
     def test_no_overflow_during_run(self):
         A = dense_instance(8, seed=39)
-        cfg = LowbitConfig(1e-2, A.n)
+        cfg = SolverConfig(1e-2)
         traps = []
         rep = run_lowbit(A, cfg,
                          update_hook=lambda st, j, d: traps.append(st))
@@ -439,7 +431,7 @@ def test_no_false_accepts(case):
     triplets += [((i + 1) % n, i, 10.0 ** ring[2 * i + 1]) for i in range(n)]
     triplets += [(i, j, 10.0 ** e) for i, j, e in extra]
     A = build_matrix(n, triplets)
-    rep = run_lowbit(A, LowbitConfig(eps, n), max_cycles=300)
+    rep = run_lowbit(A, SolverConfig(eps, max_cycles=300))
     if rep.termination == "converged":
         assert imbalance(A, rep.u_final).normalized <= eps
 
@@ -473,8 +465,8 @@ def lowbit_run(A, eps, strategy, state_class):
     def hook(state, j, delta):
         seen["state"] = state
     with mock.patch("osbalance.lowbit.LowbitState", state_class):
-        rep = run_lowbit(A, LowbitConfig(eps, A.n), strategy=strategy,
-                         max_cycles=200, update_hook=hook)
+        rep = run_lowbit(A, SolverConfig(eps, 200, strategy=strategy),
+                         update_hook=hook)
     return rep, seen["state"]
 
 
@@ -549,8 +541,7 @@ def test_level_passes_bitwise_equal_per_vertex_run(data):
         with mock.patch("osbalance.lowbit._MIN_LEVEL", min_level), \
                 mock.patch("osbalance.lowbit.dependency_levels", levels), \
                 mock.patch.object(LowbitState, "form_pairs", spy):
-            rep = run_lowbit(A, LowbitConfig(eps, A.n), strategy=strategy,
-                             max_cycles=200)
+            rep = run_lowbit(A, SolverConfig(eps, 200, strategy=strategy))
         return run_fields(rep), calls.count(False)
 
     ref, passes = fields(A.n + 1, as_given)
@@ -560,6 +551,33 @@ def test_level_passes_bitwise_equal_per_vertex_run(data):
     assert every == ref
     guarded = LowbitState(A, LowbitConfig(eps, A.n)).u_room >= 0
     assert (passes > 0) == (guarded and strategy.kind != "shuffled")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_check_cadence_leaves_the_iterate_bitwise(data):
+    # a check forms and keeps pairs; the iterate must not depend on when
+    A, eps = data.draw(supports)
+    eps = data.draw(st.sampled_from([eps, 1e-6]))
+    strategy = data.draw(orders(A.n))
+    every = data.draw(st.integers(2, 4))
+    cycles = every * data.draw(st.integers(1, 4))
+    check = osbalance.lowbit.inexact_terminate_check
+
+    def undecided(state):  # so that every run lasts its cycle budget
+        return check(state)[0], False
+
+    with mock.patch("osbalance.lowbit.inexact_terminate_check", undecided):
+        ref, rep = [run_lowbit(A, SolverConfig(eps, cycles, check_every=k,
+                                               strategy=strategy))
+                    for k in (1, every)]
+    assert rep.u_final.tobytes() == ref.u_final.tobytes()
+    assert (rep.cycles_used, rep.updates_used, rep.termination) == \
+        (ref.cycles_used, ref.updates_used, ref.termination) == \
+        (cycles, cycles * A.n, "max_cycles")
+    assert len(rep.trajectory) == cycles // every
+    assert [(s.updates, s.imbalance) for s in rep.trajectory] == \
+        [(s.updates, s.imbalance) for s in ref.trajectory][every - 1::every]
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,8 +591,8 @@ def test_relabelled_run_is_the_permuted_run(data):
     order = data.draw(st.one_of(st.just(list(range(n))), st.permutations(
         range(n)).map(lambda p: p[:-1] + p[:1])))
     B = build_matrix(n, [(perm[i], perm[j], v) for i, j, v in A.entries()])
-    rep, rel = (run_lowbit(M, LowbitConfig(eps, n), max_cycles=200,
-                           strategy=Strategy("fixed", order=o))
+    rep, rel = (run_lowbit(M, SolverConfig(eps, 200, strategy=Strategy(
+                    "fixed", order=o)))
                 for M, o in ((A, order), (B, [perm[j] for j in order])))
     assert rel.u_final[list(perm)].tobytes() == rep.u_final.tobytes()
     assert (rel.cycles_used, rel.updates_used, rel.nonzeros_touched,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osbalance import (BalancingError, GreedyState, LowbitConfig,
+from osbalance import (BalancingError, GreedyState,
                        ScalingOverflowError, SolverConfig, Strategy,
                        WeightedState, build_matrix, gen_kalantari,
                        gen_random_sparse, gen_salient, gradient, greedy_index, imbalance, osborne_update,
@@ -297,6 +297,14 @@ class TestRun:
         with pytest.raises(ValueError):
             Strategy("shuffled")
 
+    @pytest.mark.parametrize("kind", ["cyclic", "shuffled", "uniform",
+                                      "weighted", "greedy"])
+    def test_order_refused_by_kinds_other_than_fixed(self, kind):
+        # it would be dropped: the kind alone decides the order
+        with pytest.raises(ValueError,
+                           match=f"strategy '{kind}' takes no order"):
+            Strategy(kind, seed=1, order=(2, 1, 0))
+
     def test_fixed_order_hashes_and_compares_by_value(self):
         # run_parallel passes an ndarray order
         same = [Strategy("fixed", order=order) for order in (
@@ -311,8 +319,7 @@ class TestRun:
     def run_fixed(driver, A, order):
         strategy = Strategy("fixed", order=order)
         if driver == "lowbit":
-            return run_lowbit(A, LowbitConfig(1e-2, A.n), strategy,
-                              max_cycles=200)
+            return run_lowbit(A, SolverConfig(1e-2, 200, strategy=strategy))
         return run(A, SolverConfig(eps=1e-6, max_cycles=200,
                                    strategy=strategy))
 
@@ -639,5 +646,37 @@ class TestNotBalanceable:
 
     def test_run_lowbit(self, triplets):
         A = build_matrix(4, triplets)
-        rep = run_lowbit(A, LowbitConfig(1e-3, A.n), max_cycles=50)
+        rep = run_lowbit(A, SolverConfig(1e-3, max_cycles=50))
         assert (rep.termination, rep.updates_used) == ("not_balanceable", 0)
+
+
+RING4 = [(i, (i + 1) % 4, 1.0) for i in range(4)] + \
+    [((i + 1) % 4, i, 2.0) for i in range(4)]
+
+
+@pytest.mark.parametrize("triplets", [RING4, BLOCKS4],
+                         ids=["ring", "block_diagonal"])
+@pytest.mark.parametrize("driver, field, value", [
+    ("lowbit", "strategy", Strategy("uniform", seed=1)),
+    ("lowbit", "strategy", Strategy("weighted", seed=1)),
+    ("lowbit", "strategy", Strategy("greedy")),
+    ("lowbit", "criterion", "parlett"),
+    ("lowbit", "radix_rounding", True),
+    ("parallel", "strategy", Strategy("shuffled", seed=1)),
+    ("parallel", "strategy", Strategy("uniform", seed=1)),
+    ("parallel", "strategy", Strategy("weighted", seed=1)),
+    ("parallel", "strategy", Strategy("greedy")),
+    ("parallel", "strategy", Strategy("fixed", order=(3, 2, 1, 0))),
+])
+def test_driver_refuses_a_field_it_cannot_honour(triplets, driver, field,
+                                                 value):
+    # refused before the run: a support that is not strongly connected
+    # would otherwise end as not_balanceable
+    A = build_matrix(4, triplets)
+    cfg = SolverConfig(1e-2, max_cycles=5, **{field: value})
+    shown = getattr(value, "kind", value)
+    with pytest.raises(ValueError, match=f"{field} = {shown!r}"):
+        if driver == "lowbit":
+            run_lowbit(A, cfg)
+        else:
+            run_parallel(A, greedy_color(A), cfg)
