@@ -26,7 +26,7 @@ from .instances import (gen_kalantari, gen_random_sparse, gen_salient, stats,
 from .lowbit import run_lowbit
 from .mmio import (ParseError, read_matrix_market, read_scaling,
                    write_matrix_market, write_scaling)
-from .parallel import greedy_color, run_parallel
+from .parallel import greedy_color, require_honoured, run_parallel
 from .solver import STRATEGY_KINDS, SolverConfig, Strategy, run
 
 STRATEGY_NAMES = tuple(k for k in STRATEGY_KINDS if k != "fixed")
@@ -110,6 +110,8 @@ def cmd_balance(matrix_file, eps, strategy, seed, max_cycles, criterion,
         _fail("low-bit mode does not support --parallel")
     cfg = _config(eps, max_cycles, strategy, seed, sample_every,
                   criterion=criterion, radix_rounding=radix_rounding)
+    if parallel_:
+        require_honoured(cfg)  # before reading and coloring the matrix
     A = read_matrix_market(matrix_file)
     if A.dropped:
         click.echo(f"warning: dropped {A.dropped} diagonal/zero entries",

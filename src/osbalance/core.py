@@ -45,12 +45,14 @@ class SparseNonnegMatrix:
     other endpoint), ``inc_val`` and ``inc_sign``, which holds row j's
     entries (sign +1, the first ``out_deg[j]``) and then column j's
     (sign -1), each in canonical order; a row/column pair is one
-    O(deg(j)) slice.
+    O(deg(j)) slice.  ``views`` holds memoryviews of ``inc_ptr``,
+    ``out_deg``, ``inc_idx`` and ``inc_val``, whose items read as
+    Python numbers.
     """
 
     __slots__ = ("n", "m", "coo_rows", "coo_cols", "coo_vals", "inc_ptr",
                  "inc_idx", "inc_val", "inc_sign", "out_deg", "deg",
-                 "dropped", "_strong")
+                 "views", "dropped", "_strong")
 
     def __init__(self, n, rows, cols, vals):
         if not n >= 1:
@@ -97,6 +99,8 @@ class SparseNonnegMatrix:
         self.inc_val = self.coo_vals[entry]
         self.inc_sign = 1 - 2 * col_part.view(np.int8)
         self.out_deg = np.bincount(self.coo_rows, minlength=self.n)
+        self.views = tuple(map(memoryview, (self.inc_ptr, self.out_deg,
+                                            self.inc_idx, self.inc_val)))
 
     def with_entries(self, w):
         """This pattern with the entries w, each in (0, inf): one that
@@ -221,17 +225,37 @@ def _scaled_entry_weights(A, u):
     return w
 
 
+# Up to this degree the stdlib loop, about 0.8 us plus 0.13 us per
+# entry, beats numpy's fixed 4.4 us of dispatches; they cross near 26
+# (one core of a 2-vCPU shared x86-64 host).
+_SCALAR_DEG = 24
+
+
 def row_col_sums_at(A, u, j):
-    """Row and column sum of row/column j of D A D^-1, in O(deg(j))."""
-    lo, hi = A.inc_ptr[j], A.inc_ptr[j + 1]
-    split = A.out_deg[j]
-    if split == 0 or split == hi - lo:
+    """Row and column sum of row/column j of D A D^-1, in O(deg(j)): up
+    to _SCALAR_DEG terms by the stdlib exp, summed left to right from
+    0.0, more by np.exp and reduceat, which can differ in the last bit."""
+    ptr, out_deg, idx, val = A.views
+    lo, hi = ptr[j], ptr[j + 1]
+    mid = lo + out_deg[j]
+    if mid == lo or mid == hi:
         raise NotBalanceableError(
             f"row or column {j} is empty; the matrix is not balanceable "
             f"(consider scc_decompose)")
-    w = np.exp((u[j] - u[A.inc_idx[lo:hi]]) * A.inc_sign[lo:hi])
-    return finite_sums(*np.add.reduceat(w * A.inc_val[lo:hi],
-                                        [0, split]).tolist())
+    if hi - lo > _SCALAR_DEG:
+        w = np.exp((u[j] - u[A.inc_idx[lo:hi]]) * A.inc_sign[lo:hi])
+        return finite_sums(*np.add.reduceat(w * A.inc_val[lo:hi],
+                                            [0, mid - lo]).tolist())
+    u = memoryview(u)
+    uj, exp, r, c = u[j], math.exp, 0.0, 0.0
+    try:
+        for k in range(lo, mid):
+            r += val[k] * exp(uj - u[idx[k]])
+        for k in range(mid, hi):
+            c += val[k] * exp(u[idx[k]] - uj)
+    except OverflowError:  # a term beyond float range
+        r = math.inf
+    return finite_sums(r, c)
 
 
 def finite_sums(r, c):

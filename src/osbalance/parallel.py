@@ -114,15 +114,22 @@ def color_class_order(coloring):
                     np.cumsum(sizes)[:-1])
 
 
+def require_honoured(cfg):
+    """Refuse a cfg that a color-class run cannot honour: its class
+    order replaces every strategy but the cyclic default."""
+    cfg.require("a color-class run", strategy=("cyclic",))
+
+
 def run_parallel(A, coloring, cfg, workers=1):
     """Balance A processing color classes in ascending order each cycle.
 
     This is run(A, cfg) with the fixed order that concatenates the color
     classes, bitwise; that order replaces cfg's strategy, so any but the
-    cyclic default raises ValueError.  The report counts one round per
+    cyclic default raises ValueError (require_honoured, which callers
+    can run before coloring).  The report counts one round per
     color class per cycle.  workers is accepted and has no effect.
     """
-    cfg.require("a color-class run", strategy=("cyclic",))
+    require_honoured(cfg)
     validate_coloring(A, coloring)
     A.strongly_connected()  # cached; searching first lowers peak memory
     order = np.concatenate(color_class_order(coloring))

@@ -231,6 +231,23 @@ class TestBalance:
         assert isinstance(res.exception, SystemExit)
         assert "error: " in res.output and named in res.output
 
+    @pytest.mark.parametrize("strategy", ["greedy", "shuffled"])
+    def test_parallel_refuses_before_coloring(self, runner, tmp_path,
+                                              monkeypatch, strategy):
+        def greedy_color(A):
+            raise AssertionError("colored a run it refuses")
+        monkeypatch.setattr(osbalance.cli, "greedy_color", greedy_color)
+        mtx = tmp_path / "k.mtx"
+        write_matrix_market(mtx, gen_kalantari(3))
+        res = runner.invoke(main, ["balance", str(mtx), "--parallel",
+                                   "--strategy", strategy,
+                                   "-o", str(tmp_path / "k.u")])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert (f"error: a color-class run does not support strategy = "
+                f"'{strategy}'") in res.output
+        assert not (tmp_path / "k.u").exists()
+
     def test_stats_only_for_json(self, runner, tmp_path, monkeypatch):
         mtx = tmp_path / "k.mtx"
         write_matrix_market(mtx, gen_kalantari(3))
@@ -289,6 +306,19 @@ class TestBalance:
             assert res.exit_code == 4
             assert isinstance(res.exception, SystemExit)
             assert "error: row/column sum overflowed" in res.output
+
+    def test_exp_overflow_exits_4(self, runner, tmp_path):
+        # A run reaches a term e^734 on the scalar path, where math.exp
+        # raises OverflowError: a typed error, not a traceback.
+        mtx = tmp_path / "e.mtx"
+        write_matrix_market(mtx, build_matrix(3, [
+            (0, 1, 8.792902260896086e+69), (1, 2, 2.8607001385494798e+261),
+            (2, 0, 9.101792669146858e-264), (1, 0, 1.4192950285593935e+27)]))
+        res = runner.invoke(main, ["balance", str(mtx),
+                                   "-o", str(tmp_path / "e.u")])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "error: row/column sum overflowed or underflowed" in res.output
 
     def test_underflowing_sum_exits_4(self, runner, tmp_path):
         # The second cycle's row sum of index 1 underflows to zero.

@@ -14,7 +14,7 @@ from osbalance import (NotBalanceableError, ScalingOverflowError,
                        scaled_matrix, scc_decompose, stats, verify_balance)
 from osbalance.core import row_col_sums
 from conftest import (dense_gradient, dense_instance, dense_potential,
-                      dense_row_col)
+                      dense_row_col, ring_plus_entries, random_support)
 
 A22 = build_matrix(2, [(0, 1, 4.0), (1, 0, 1.0)])
 SYM3 = build_matrix(3, [(0, 1, 2.0), (1, 0, 2.0), (1, 2, 5.0), (2, 1, 5.0),
@@ -279,6 +279,95 @@ class TestOverflowingSums:
     def test_kernel_raises(self):
         with pytest.raises(ScalingOverflowError):
             row_col_sums_at(OVERFLOWING_ROW, np.zeros(3), 0)
+
+
+# _SCALAR_DEG values that send every row_col_sums_at call down one path.
+PATHS = {"numpy": 0, "scalar": 10 ** 9}
+
+
+@pytest.fixture(params=sorted(PATHS))
+def kernel_path(request, monkeypatch):
+    """Sends row_col_sums_at down one path with warnings as errors; on
+    the numpy path overflow is ignored, as run ignores it, since np.exp
+    and reduceat warn of it."""
+    monkeypatch.setattr(osbalance.core, "_SCALAR_DEG", PATHS[request.param])
+    numpy = request.param == "numpy"
+    with warnings.catch_warnings(), np.errstate(
+            over="ignore" if numpy else "warn"):
+        warnings.simplefilter("error")
+        yield request.param
+
+
+def sums_on(path, A, u, j):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(osbalance.core, "_SCALAR_DEG", PATHS[path])
+        return row_col_sums_at(A, u, j)
+
+
+class TestKernelPaths:
+    """The kernel sums up to _SCALAR_DEG entries in scalar Python and
+    more with numpy; both raise the package's typed errors."""
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_exp_overflow_is_typed(self, kernel_path, j):
+        # row 0 holds 4 e^1600, which overflows; row 1 e^-1600, which
+        # underflows to 0
+        with pytest.raises(ScalingOverflowError,
+                           match="row/column sum overflowed or underflowed"):
+            row_col_sums_at(A22, np.array([800.0, -800.0]), j)
+
+    def test_sum_overflow_is_typed(self, kernel_path):
+        with pytest.raises(ScalingOverflowError,
+                           match="row/column sum overflowed or underflowed"):
+            row_col_sums_at(OVERFLOWING_ROW, np.zeros(3), 0)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_empty_part_is_not_balanceable(self, kernel_path, j):
+        A = build_matrix(2, [(0, 1, 1.0)])  # column 0 and row 1 are empty
+        with pytest.raises(NotBalanceableError,
+                           match=f"row or column {j} is empty"):
+            row_col_sums_at(A, np.zeros(2), j)
+
+    def test_threshold_splits_by_degree(self, monkeypatch):
+        # a star: the hub has degree 6, each leaf degree 2
+        A = build_matrix(4, [(0, i, 1.0) for i in (1, 2, 3)]
+                         + [(i, 0, 2.0) for i in (1, 2, 3)])
+        monkeypatch.setattr(osbalance.core, "_SCALAR_DEG", 2)
+        exp, calls = np.exp, []
+        monkeypatch.setattr(osbalance.core.np, "exp",
+                            lambda x: calls.append(len(x)) or exp(x))
+        assert row_col_sums_at(A, np.zeros(4), 1) == (2.0, 1.0)
+        assert calls == []
+        assert row_col_sums_at(A, np.zeros(4), 0) == (3.0, 6.0)
+        assert calls == [6]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        ring_plus_entries(n),
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))))
+    def test_paths_agree_to_a_few_ulps(self, case):
+        support, u = case
+        A, _ = random_support(support)
+        u = np.array(u)
+        for j in range(A.n):
+            for a, b in zip(sums_on("scalar", A, u, j),
+                            sums_on("numpy", A, u, j)):
+                assert abs(a - b) <= 4 * np.finfo(float).eps * b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8).flatmap(ring_plus_entries).map(random_support))
+    def test_run_ends_alike_on_either_path(self, case):
+        A, eps = case
+        cfg = SolverConfig(eps=eps, max_cycles=300)
+        reports = []
+        for threshold in (0, int(A.deg.max())):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(osbalance.core, "_SCALAR_DEG", threshold)
+                reports.append(run(A, cfg))
+        numpy, scalar = reports
+        assert scalar.termination == numpy.termination
+        assert scalar.cycles_used == numpy.cycles_used
+        assert np.allclose(scalar.u_final, numpy.u_final, rtol=0, atol=1e-12)
 
 
 class TestGradient:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import osbalance.core
 import osbalance.parallel
 from osbalance import (Coloring, ImproperColoringError, SolverConfig,
                        SparseNonnegMatrix, Strategy, build_matrix,
@@ -97,6 +98,26 @@ class TestRunParallel:
             assert par.termination == "converged"
             assert np.array_equal(par.u_final, seq.u_final)
             assert par.cycles_used == seq.cycles_used
+
+    def test_mixed_degrees_bitwise_equal_to_sequential(self):
+        # a ring whose vertex 0 also reaches every other vertex: its sums
+        # take the numpy path, every other vertex's the scalar one
+        n = 30
+        rng = np.random.default_rng(7)
+        trip = [(i, (i + 1) % n, rng.uniform(0.1, 10.0)) for i in range(n)]
+        trip += [((i + 1) % n, i, rng.uniform(0.1, 10.0)) for i in range(n)]
+        trip += [(0, i, rng.uniform(0.1, 10.0)) for i in range(2, n - 1)]
+        trip += [(i, 0, rng.uniform(0.1, 10.0)) for i in range(2, n - 1)]
+        A = build_matrix(n, trip)
+        assert A.deg.max() > osbalance.core._SCALAR_DEG >= A.deg.min()
+        col = greedy_color(A)
+        order = tuple(v for cls in color_class_order(col) for v in cls)
+        seq = run(A, SolverConfig(eps=1e-10,
+                                  strategy=Strategy("fixed", order=order)))
+        par = run_parallel(A, col, SolverConfig(eps=1e-10))
+        assert par.termination == seq.termination == "converged"
+        assert np.array_equal(par.u_final, seq.u_final)
+        assert par.cycles_used == seq.cycles_used
 
     def test_bitwise_identical_across_workers_and_repeats(self):
         for seed in range(4):
