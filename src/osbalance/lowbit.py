@@ -16,14 +16,13 @@ criterion at three times its threshold.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import NotBalanceableError, dependency_levels
-from .solver import Strategy, drive, order_source
+from .solver import drive, order_source
 
 _MIN_LEVEL = 8  # a smaller level's pairs are formed faster one at a time
 
@@ -308,36 +307,33 @@ def run_lowbit(A, cfg, update_hook=None):
     and radix_rounding raise ValueError.  The check is the inexact
     verifier, whose imbalance estimate the trajectory samples carry.
 
-    A cyclic or fixed order runs level by level (dependency_levels),
-    which gives bitwise the iterate of the order as given; the driver
-    and update_hook see that level-major order.  Where the one-pass
-    guard holds, the first update of a level of at least _MIN_LEVEL
-    positions (found by position: an index can repeat) forms the pairs
-    of the level's stale vertices in one form_pairs pass.  Smaller
+    A cyclic or fixed order runs level by level: drive hands update each
+    level of dependency_levels in turn, which gives bitwise the iterate
+    of the order as given (update_hook sees the level-major order).
+    Where the one-pass guard holds, a level of at least _MIN_LEVEL
+    indices forms its stale pairs in one form_pairs pass; smaller
     levels, shuffled orders and runs outside the guard form each pair
     with sums_log.
     """
     cfg.require("low-bit mode", strategy=("cyclic", "shuffled", "fixed"),
                 criterion=("l1",), radix_rounding=(False,))
     state = LowbitState(A, LowbitConfig(cfg.eps, A.n))
-    passes, position = {}, itertools.cycle(range(A.n))
+    levels = None
     if cfg.strategy.kind != "shuffled" and A.strongly_connected():
         order = order_source(cfg.strategy, A.n)(0)
-        levels = dependency_levels(A, order)
-        order = [order[p] for p in sorted(range(A.n), key=levels.__getitem__)]
-        cfg = replace(cfg, strategy=Strategy("fixed", order=order))
-        sizes = np.bincount(levels)[1:].tolist()
-        starts = itertools.accumulate(sizes, initial=0)
-        passes = {p: order[p:p + size] for p, size in zip(starts, sizes)
-                  if size >= _MIN_LEVEL and state.u_room >= 0}
+        level_of = dependency_levels(A, order)
+        levels = [[] for _ in range(max(level_of))]
+        for j, level in zip(order, level_of):
+            levels[level - 1].append(j)
 
-    def update(k, j):
+    def update(k, batch):
         reads = state.reads
-        if passes and (level := passes.get(next(position))):
-            state.form_pairs(level)
-        delta = lowbit_update(state, j)
-        if update_hook is not None:
-            update_hook(state, j, delta)
+        if levels and len(batch) >= _MIN_LEVEL and state.u_room >= 0:
+            state.form_pairs(batch)
+        for j in batch:
+            delta = lowbit_update(state, j)
+            if update_hook is not None:
+                update_hook(state, j, delta)
         return state.reads - reads
 
     def check(cycles):
@@ -345,6 +341,6 @@ def run_lowbit(A, cfg, update_hook=None):
         g_hat, decided = inexact_terminate_check(state)
         return g_hat, decided, state.reads - reads
 
-    report = drive(A, cfg, update, check, state.u_float)
+    report = drive(A, cfg, update, check, state.u_float, levels=levels)
     report.overflows = state.ctx.overflows
     return report

@@ -30,7 +30,7 @@ _SEEDED_KINDS = ("shuffled", "uniform", "weighted")
 
 @dataclass(frozen=True)
 class Strategy:
-    """Index-selection rule; an order is kept as a tuple of ints.
+    """Index-selection rule; a seed is kept as an int, an order as a tuple.
 
     kind:
       cyclic    ascending order 0..n-1 every cycle
@@ -47,8 +47,11 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind in _SEEDED_KINDS and self.seed is None:
-            raise ValueError(f"strategy {self.kind!r} requires a seed")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.kind in _SEEDED_KINDS and (self.seed is None or self.seed < 0):
+            raise ValueError(f"strategy {self.kind!r} requires a seed >= 0, "
+                             f"not {self.seed}")
         if self.kind == "fixed" and self.order is None:
             raise ValueError("fixed strategy requires an order")
         if self.kind != "fixed" and self.order is not None:
@@ -331,23 +334,25 @@ def order_source(strategy, n, state=None):
     return weighted
 
 
-def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
-    """The cycle loop of every run: exact, color-class and low-bit.
+def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None,
+          levels=None):
+    """The cycle loop of every run: the one walk of a cycle's order.
 
     cfg, the run's SolverConfig, gives the strategy, the cycle budget
     (default_max_cycles when it is None) and the check cadence.
     A support that is not strongly connected ends at once as
     ``not_balanceable``; balance its ``scc_decompose`` blocks instead.
-    update(k, j) updates index j in cycle k and returns the nonzeros it
-    read, which the driver adds up; under greedy and weighted it is
-    update(k, j, (r_j, c_j)), given j's kept sums at the iterate, and
-    the refresh that follows reads j's entries.  check(cycles) returns
-    (imbalance sample, converged, nonzeros read) every cfg.check_every
-    cycles, and before the first if check_first; the trajectory records
-    one sample per check.  iterate() is the current iterate as a
-    float64 array, over which greedy and weighted selection keep their
-    sums: refreshed after every update, resynced after every check that
-    does not end the run.
+    update(k, batch) updates batch's indices in turn in cycle k and
+    returns the nonzeros it read, which the driver adds up.  A batch is
+    a cycle's whole order, or one of levels, lists that hold the order
+    level by level.  Greedy and weighted pass update(k, (j,), (r_j, c_j))
+    with j's kept sums, and j's refresh then reads its entries.
+    check(cycles) returns (imbalance sample, converged, nonzeros read)
+    every cfg.check_every cycles, and before the first if check_first;
+    the trajectory records one sample per check.  iterate() is the
+    current iterate as a float64 array, over which greedy and weighted
+    keep their sums: refreshed after every update, resynced after every
+    check that does not end the run.
     """
     n, start = A.n, time.perf_counter_ns()
     updates, nonzeros, trajectory = 0, 0, []
@@ -378,11 +383,13 @@ def drive(A, cfg, update, check, iterate, check_first=False, cycle_hook=None):
         return report(iterate(), 0, "converged")
 
     for k in range(max_cycles):
-        for j in cycle_order(k):
-            if state is None:
-                nonzeros += update(k, j)
-            else:  # the step comes from j's kept sums; refresh reads j
-                nonzeros += update(k, j, (state.r[j], state.c[j]))
+        if state is None:
+            for batch in levels or (cycle_order(k),):
+                nonzeros += update(k, batch)
+        else:  # the step comes from j's kept sums; refresh reads j
+            r, c = state.r, state.c  # only a resync, after a check, replaces
+            for j in cycle_order(k):
+                nonzeros += update(k, (j,), (r[j], c[j]))
                 nonzeros += state.refresh(j)
         updates += n
         if cycle_hook is not None:
@@ -414,14 +421,15 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     u, deg = np.zeros(A.n), A.deg.tolist()
     failed = -1  # the last cycle with an update failing the Parlett test
 
-    def update(k, j, sums=None):
+    def update(k, batch, sums=None):
         nonlocal failed
-        r, c = osborne_update(A, u, j, radix, sums)
-        if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
-            failed = k
-        if update_hook is not None:
-            update_hook(k, j, r, c)
-        return deg[j] if sums is None else 0
+        for j in batch:
+            r, c = osborne_update(A, u, j, radix, sums)
+            if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
+                failed = k
+            if update_hook is not None:
+                update_hook(k, j, r, c)
+        return sum(map(deg.__getitem__, batch)) if sums is None else 0
 
     def check(cycles):
         g = imbalance(A, u).normalized  # also the Parlett trajectory's sample

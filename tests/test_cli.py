@@ -248,6 +248,20 @@ class TestBalance:
                 f"'{strategy}'") in res.output
         assert not (tmp_path / "k.u").exists()
 
+    def test_negative_seed_refused_before_reading(self, runner, tmp_path,
+                                                  monkeypatch):
+        def read_matrix_market(path):
+            raise AssertionError("read a matrix for a run it refuses")
+        monkeypatch.setattr(osbalance.cli, "read_matrix_market",
+                            read_matrix_market)
+        res = runner.invoke(main, ["balance", str(tmp_path / "k.mtx"),
+                                   "--strategy", "shuffled", "--seed", "-1",
+                                   "-o", str(tmp_path / "k.u")])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert ("error: strategy 'shuffled' requires a seed >= 0, not -1"
+                in res.output)
+
     def test_stats_only_for_json(self, runner, tmp_path, monkeypatch):
         mtx = tmp_path / "k.mtx"
         write_matrix_market(mtx, gen_kalantari(3))
@@ -615,6 +629,21 @@ class TestBench:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["strategy"] for r in rows} == {"cyclic"}
+
+    def test_negative_seed_refused_before_any_run(self, runner, tmp_path,
+                                                  monkeypatch):
+        # strategy i takes seed + i, so shuffled gets -1 after cyclic's -2
+        def run(A, cfg):
+            raise AssertionError("ran a strategy before the refusal")
+        monkeypatch.setattr(osbalance.cli, "run", run)
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", "kalantari:k=3", "--seed", "-2",
+                                   "-o", str(out)])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert ("error: strategy 'shuffled' requires a seed >= 0, not -1"
+                in res.output)
+        assert not out.exists()
 
     def test_file_instance(self, runner, tmp_path):
         mtx = tmp_path / "k.mtx"

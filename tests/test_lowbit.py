@@ -553,6 +553,26 @@ def test_level_passes_bitwise_equal_per_vertex_run(data):
     assert (passes > 0) == (guarded and strategy.kind != "shuffled")
 
 
+@pytest.mark.parametrize("every", [1, 2])
+def test_one_pass_per_large_level_per_cycle(every):
+    # a pass per vertex, or per position, would be bitwise the same run
+    K = labelled_ring(40, np.random.default_rng(0).permutation(81).tolist())
+    levels = dependency_levels(K, range(K.n))
+    assert np.bincount(levels)[1:].tolist() == [24, 28, 21, 6, 1, 1]
+    large = [[j for j in range(K.n) if levels[j] == level]
+             for level in (1, 2, 3)]
+    form_pairs, calls = LowbitState.form_pairs, []
+
+    def spy(state, vs):
+        calls.append(vs if isinstance(vs, range) else list(vs))
+        return form_pairs(state, vs)
+    with mock.patch.object(LowbitState, "form_pairs", spy):
+        rep = run_lowbit(K, SolverConfig(1e-3, 4, check_every=every))
+    assert rep.termination == "max_cycles"
+    # the levels of 8 or more each cycle, and form_stale_pairs per check
+    assert calls == (large * every + [range(K.n)]) * (4 // every)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_check_cadence_leaves_the_iterate_bitwise(data):

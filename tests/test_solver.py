@@ -297,6 +297,19 @@ class TestRun:
         with pytest.raises(ValueError):
             Strategy("shuffled")
 
+    @pytest.mark.parametrize("kind", ["shuffled", "uniform", "weighted"])
+    def test_negative_seed_refused_by_seeded_kinds(self, kind):
+        # refused when built, before a run hands it to SeedSequence
+        with pytest.raises(ValueError, match=f"strategy '{kind}' requires "
+                                             f"a seed >= 0, not -1"):
+            Strategy(kind, seed=-1)
+
+    def test_seed_is_kept_as_an_int(self):
+        with pytest.raises(TypeError):  # when built, not inside run
+            Strategy("uniform", seed=1.5)
+        assert type(Strategy("shuffled", seed=np.int64(3)).seed) is int
+        assert Strategy("cyclic", seed=-1).seed == -1  # a seed it never uses
+
     @pytest.mark.parametrize("kind", ["cyclic", "shuffled", "uniform",
                                       "weighted", "greedy"])
     def test_order_refused_by_kinds_other_than_fixed(self, kind):
@@ -375,6 +388,60 @@ class TestRun:
         Mp = scaled_matrix(PA, run(PA, SolverConfig(eps=1e-10)).u_final)
         Da, Dp = Ma.to_dense(), Mp.to_dense()
         assert np.allclose(Dp[np.ix_(perm, perm)], Da, rtol=1e-6)
+
+
+class TestDriveBatches:
+    """drive hands update a batch of indices: one per level, else one per
+    cycle; greedy and weighted one index at a time, with its kept sums."""
+
+    K = gen_kalantari(3)
+
+    def drive(self, strategy, levels=None, cycles=3):
+        A, calls, deg = self.K, [], self.K.deg.tolist()
+
+        def update(k, batch, sums=None):
+            calls.append((k, list(batch), sums is not None))
+            return sum(deg[j] for j in batch)
+
+        def check(cycles):
+            return 1.0, False, A.m
+        rep = solver.drive(A, SolverConfig(max_cycles=cycles,
+                                           strategy=strategy),
+                           update, check, lambda: np.zeros(A.n),
+                           levels=levels)
+        assert (rep.updates_used, rep.termination) == (cycles * A.n,
+                                                       "max_cycles")
+        # per cycle: every index's deg from update, then the check's m;
+        # kept sums add the refreshes' degs and the build's or resync's m
+        twice = 2 if strategy.kind in ("greedy", "weighted") else 1
+        assert [(s.updates, s.nonzeros) for s in rep.trajectory] == \
+            [(c * A.n, c * twice * (sum(deg) + A.m))
+             for c in range(1, cycles + 1)]
+        return calls
+
+    def test_one_call_per_level(self):
+        levels = [[0, 2, 4], [1, 5], [6], [3]]
+        calls = self.drive(Strategy("cyclic"), levels)
+        assert calls == [(k, level, False) for k in range(3)
+                         for level in levels]
+
+    @pytest.mark.parametrize("strategy", [
+        Strategy("cyclic"), Strategy("fixed", order=(6, 5, 4, 3, 2, 1, 0)),
+        Strategy("shuffled", seed=4)], ids=lambda s: s.kind)
+    def test_one_call_per_cycle(self, strategy):
+        order = solver.order_source(strategy, self.K.n)
+        assert self.drive(strategy) == [(k, list(order(k)), False)
+                                        for k in range(3)]
+
+    @pytest.mark.parametrize("strategy", [
+        Strategy("greedy"), Strategy("weighted", seed=4)],
+        ids=lambda s: s.kind)
+    def test_one_call_per_update_with_kept_sums(self, strategy):
+        calls = self.drive(strategy, levels=[list(range(self.K.n))])
+        assert len(calls) == 3 * self.K.n
+        assert all(len(batch) == 1 and kept for _, batch, kept in calls)
+        assert [k for k, _, _ in calls] == [k for k in range(3)
+                                            for _ in range(self.K.n)]
 
 
 class TestGreedyIndex:
