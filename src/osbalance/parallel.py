@@ -131,7 +131,6 @@ def run_parallel(A, coloring, cfg, workers=1):
     """
     require_honoured(cfg)
     validate_coloring(A, coloring)
-    A.strongly_connected()  # cached; searching first lowers peak memory
     order = np.concatenate(color_class_order(coloring))
     report = run(A, replace(cfg, strategy=Strategy("fixed", order=order)))
     report.rounds_used = coloring.num_colors * report.cycles_used

@@ -118,7 +118,8 @@ def default_max_cycles(A, eps):
 
 
 def osborne_update(A, u, j, radix_rounding=False, sums=None):
-    """Balance row/column j in place; returns the pre-update (r_j, c_j).
+    """Balance row/column j of the iterate u, a float64 array or a
+    memoryview of one, in place; returns the pre-update (r_j, c_j).
 
     sums, when given, is the caller's (r_j, c_j) at u, and no entry of j
     is read; else the sums are computed from j's deg(j) entries.  The
@@ -419,12 +420,13 @@ def run(A, cfg, update_hook=None, cycle_hook=None):
     """
     l1, radix = cfg.criterion == "l1", cfg.radix_rounding
     u, deg = np.zeros(A.n), A.deg.tolist()
+    view = memoryview(u)  # u[j] reads and writes a Python float through it
     failed = -1  # the last cycle with an update failing the Parlett test
 
     def update(k, batch, sums=None):
         nonlocal failed
         for j in batch:
-            r, c = osborne_update(A, u, j, radix, sums)
+            r, c = osborne_update(A, view, j, radix, sums)
             if not (l1 or 2.0 * math.sqrt(r * c) > 0.95 * (r + c)):
                 failed = k
             if update_hook is not None:

@@ -10,7 +10,8 @@ import osbalance.core
 from osbalance import (NotBalanceableError, ScalingOverflowError,
                        SolverConfig, SparseNonnegMatrix, Strategy,
                        build_matrix, gen_kalantari,
-                       gradient, imbalance, potential, row_col_sums_at, run,
+                       gradient, imbalance, osborne_update, potential,
+                       row_col_sums_at, run,
                        scaled_matrix, scc_decompose, stats, verify_balance)
 from osbalance.core import row_col_sums
 from conftest import (dense_gradient, dense_instance, dense_potential,
@@ -211,6 +212,96 @@ class TestStronglyConnected:
         assert calls == [A]
 
 
+# (_MIN_HOOK_N, _MAX_HOOK_DEG) that send every symmetric support down one
+# path of the connectivity search.
+SEARCHES = {"hook": (0, math.inf), "bfs": (math.inf, 0)}
+
+
+def search_on(path, A):
+    """A fresh search of A on one path, bypassing the cached answer."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(osbalance.core, "_MIN_HOOK_N", SEARCHES[path][0])
+        mp.setattr(osbalance.core, "_MAX_HOOK_DEG", SEARCHES[path][1])
+        return A.m > 0 and osbalance.core._reaches_all_both_ways(A)
+
+
+def unit(n, pairs, label=None):
+    """The unit matrix on the pairs, with vertex v relabelled label[v]."""
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    if label is not None:
+        rows, cols = label[rows], label[cols]
+    return SparseNonnegMatrix(n, rows, cols, np.ones(len(rows)))
+
+
+def two_way(pairs):
+    return pairs + [(j, i) for i, j in pairs]
+
+
+def ring(n, start=0):
+    return two_way([(start + i, start + (i + 1) % n) for i in range(n)])
+
+
+def circulant(n, reach):
+    """Each vertex joined both ways to the next reach vertices: 2 reach
+    entries per row."""
+    return two_way([(i, (i + d) % n) for i in range(n)
+                    for d in range(1, reach + 1)])
+
+
+class TestSearchPaths:
+    """A large sparse symmetric support is hooked in numpy, any other by
+    the breadth-first pair; both give scc_decompose's answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=3 * n),
+        st.booleans())))
+    def test_paths_agree_with_scc_decompose(self, case):
+        n, pairs, symmetric = case
+        A = unit(n, two_way(pairs) if symmetric else pairs)
+        want = A.m > 0 and len(scc_decompose(A)[0]) == 1
+        assert search_on("hook", A) == search_on("bfs", A) == want
+
+    @pytest.mark.parametrize("path", sorted(SEARCHES))
+    @pytest.mark.parametrize("A, want", [
+        (unit(1, [(0, 0)]), False),                            # n = 1
+        (unit(2, ring(2)), True),
+        (unit(7, ring(6)), False),                   # vertex 6 is isolated
+        (unit(7, ring(6, start=1)), False),          # vertex 0 is isolated
+        (unit(9, ring(9), np.random.default_rng(1).permutation(9)), True),
+        (unit(600, ring(600), np.random.default_rng(2).permutation(600)),
+         True),
+        (unit(600, two_way([(i, i + 1) for i in range(599)])), True),
+        (unit(600, ring(300) + ring(300, start=300)), False),
+        (unit(600, ring(300) + ring(300, start=300),
+              np.random.default_rng(3).permutation(600)), False),
+    ])
+    def test_named_supports(self, monkeypatch, path, A, want):
+        monkeypatch.setattr(osbalance.core, "_MIN_HOOK_N", SEARCHES[path][0])
+        monkeypatch.setattr(osbalance.core, "_MAX_HOOK_DEG",
+                            SEARCHES[path][1])
+        assert A.with_entries(A.coo_vals).strongly_connected() == want
+
+    @pytest.mark.parametrize("A, hooked", [
+        (unit(512, ring(512)), True),
+        (unit(511, ring(511)), False),                    # below the cut-off
+        (unit(512, circulant(512, 8)), True),             # 16 per row
+        (unit(512, circulant(512, 9)), False),            # 18 per row
+        (unit(512, [(i, (i + 1) % 512) for i in range(512)]), False),
+        (unit(512, ring(512) + [(0, 2)]), False),         # one entry unpaired
+    ])
+    def test_hooks_exactly_large_sparse_symmetric(self, monkeypatch, A,
+                                                  hooked):
+        def refused(*args):
+            raise AssertionError("the other path ran")
+
+        monkeypatch.setattr(osbalance.core, "bfs" if hooked else
+                            "_weakly_connected", refused)
+        assert A.with_entries(A.coo_vals).strongly_connected()
+
+
 class TestRowColSums:
     def test_identity_scaling(self):
         assert row_col_sums_at(A22, np.zeros(2), 0) == (4.0, 1.0)
@@ -353,6 +444,36 @@ class TestKernelPaths:
             for a, b in zip(sums_on("scalar", A, u, j),
                             sums_on("numpy", A, u, j)):
                 assert abs(a - b) <= 4 * np.finfo(float).eps * b
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_overflow_through_a_memoryview_is_typed(self, kernel_path, j):
+        u = np.array([800.0, -800.0])
+        with pytest.raises(ScalingOverflowError,
+                           match="row/column sum overflowed or underflowed"):
+            row_col_sums_at(A22, memoryview(u), j)
+        with pytest.raises(ScalingOverflowError,
+                           match="row/column sum overflowed or underflowed"):
+            osborne_update(A22, memoryview(u), j)
+        assert u.tolist() == [800.0, -800.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        ring_plus_entries(n),
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))))
+    def test_memoryview_iterate_is_the_array(self, case):
+        support, u = case
+        A, _ = random_support(support)
+        for path in PATHS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(osbalance.core, "_SCALAR_DEG", PATHS[path])
+                array, viewed = np.array(u), np.array(u)
+                view = memoryview(viewed)
+                for j in [*range(A.n), *range(A.n)]:
+                    assert (row_col_sums_at(A, array, j)
+                            == row_col_sums_at(A, view, j))
+                    assert (osborne_update(A, array, j)
+                            == osborne_update(A, view, j))
+                assert array.tobytes() == viewed.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8).flatmap(ring_plus_entries).map(random_support))

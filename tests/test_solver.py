@@ -390,6 +390,24 @@ class TestRun:
         assert np.allclose(Dp[np.ix_(perm, perm)], Da, rtol=1e-6)
 
 
+class TestIterateView:
+    @pytest.mark.parametrize("strategy", [Strategy("cyclic"),
+                                          Strategy("greedy")])
+    def test_one_memoryview_of_the_iterate_per_run(self, monkeypatch,
+                                                   strategy):
+        seen, update = [], solver.osborne_update
+
+        def recorded(A, u, j, radix_rounding=False, sums=None):
+            seen.append(u)
+            return update(A, u, j, radix_rounding, sums)
+        monkeypatch.setattr(solver, "osborne_update", recorded)
+        report = run(gen_kalantari(3), SolverConfig(eps=1e-4,
+                                                    strategy=strategy))
+        assert len(seen) == report.updates_used
+        assert type(seen[0]) is memoryview and seen[0].obj is report.u_final
+        assert all(u is seen[0] for u in seen)
+
+
 class TestDriveBatches:
     """drive hands update a batch of indices: one per level, else one per
     cycle; greedy and weighted one index at a time, with its kept sums."""
