@@ -9,6 +9,7 @@ immutable inputs and are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class SparseNonnegMatrix:
     and (row, col, value) triplets as three sequences, with indices in
     [0, n) and no negative value, it drops zero and diagonal entries
     (counted in ``.dropped``), sums duplicates, which must then be
-    finite, and sorts them by (row, col).  Else it raises ValueError.
+    finite, and sorts them by (row, col).  Else it raises ValueError,
+    or TypeError for an n that operator.index refuses, such as 2.5.
 
     Every entry is also kept twice in one flat incidence layout: vertex
     j owns the segment ``inc_ptr[j]:inc_ptr[j + 1]`` of ``inc_idx`` (the
@@ -55,11 +57,12 @@ class SparseNonnegMatrix:
                  "views", "dropped", "_strong")
 
     def __init__(self, n, rows, cols, vals):
+        n = operator.index(n)
         if not n >= 1:
             raise ValueError("matrix dimension must be positive")
         if n > _MAX_N:
             raise ValueError(f"matrix dimension must be at most {_MAX_N}")
-        self.n = n = int(n)
+        self.n = n
         rows, cols = (np.asarray(a, dtype=np.intp) for a in (rows, cols))
         vals = np.asarray(vals, dtype=np.float64)
         if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):

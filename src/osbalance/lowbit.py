@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ class LowbitConfig:
     frac_bits: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         if self.eps < 4096 * math.ulp(1.0):

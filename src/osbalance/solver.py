@@ -71,6 +71,10 @@ class SolverConfig:
     check_every: int = 1
 
     def __post_init__(self):
+        for name in ("max_cycles", "check_every"):  # max_cycles may be None
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   operator.index(getattr(self, name)))
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         if self.max_cycles is not None and self.max_cycles < 1:
@@ -186,8 +190,8 @@ class _KeptSums:
 
     def __init__(self, A, u):
         self.A, self.u = A, u
-        self.row_nbr, self.col_nbr = A.split_incidence(A.inc_idx.tolist())
-        self.row_val, self.col_val = A.split_incidence(A.inc_val.tolist())
+        self.nbr, self.val = A.inc_idx.tolist(), A.inc_val.tolist()
+        self.ptr, self.mid = map(list, A.incidence_bounds())
         self.resync()
 
     def resync(self):
@@ -206,25 +210,26 @@ class _KeptSums:
         """Bring the sums up to date after an update of j; returns the
         nonzeros read and the vertices whose sums changed: j and its
         distinct neighbors."""
-        uj = float(self.u[j])
-        mirror, r, c = self.mirror, self.r, self.c
-        delta = uj - mirror[j]
+        uj, mirror, r, c = float(self.u[j]), self.mirror, self.r, self.c
+        nbr, val, delta = self.nbr, self.val, uj - mirror[j]
         mirror[j] = uj
-        row, col = self.row_nbr[j], self.col_nbr[j]
+        lo, mid, hi = self.ptr[j], self.mid[j], self.ptr[j + 1]
         exp, inf, guarded = math.exp, math.inf, []
         rj = cj = 0.0
         try:
             down = -math.expm1(-delta)  # a row-j entry w was w e^-delta
             up = -math.expm1(delta)     # a column-j entry w was w e^delta
-            for i, v in zip(row, self.row_val[j]):
-                w = v * exp(uj - mirror[i])
+            for k in range(lo, mid):
+                i = nbr[k]
+                w = val[k] * exp(uj - mirror[i])
                 rj += w
                 old = c[i]
                 c[i] = new = old + w * down
                 if not 0.5 * old <= new < inf:
                     guarded.append(i)
-            for i, v in zip(col, self.col_val[j]):
-                w = v * exp(mirror[i] - uj)
+            for k in range(mid, hi):
+                i = nbr[k]
+                w = val[k] * exp(mirror[i] - uj)
                 cj += w
                 old = r[i]
                 r[i] = new = old + w * up
@@ -232,12 +237,12 @@ class _KeptSums:
                     guarded.append(i)
             r[j], c[j] = finite_sums(rj, cj)
         except OverflowError:  # delta or an entry out of range: no shortcut
-            guarded = [j, *row, *col]
-        nonzeros = len(row) + len(col)
+            guarded = [j, *nbr[lo:hi]]
+        nonzeros = hi - lo
         for i in set(guarded):  # recomputed from i's own entries
             r[i], c[i] = row_col_sums_at(self.A, self.u, i)
-            nonzeros += len(self.row_nbr[i]) + len(self.col_nbr[i])
-        return nonzeros, {j, *row, *col}
+            nonzeros += self.ptr[i + 1] - self.ptr[i]
+        return nonzeros, {j, *nbr[lo:hi]}
 
 
 class WeightedState(_KeptSums):
@@ -267,20 +272,18 @@ def weighted_sample(state, rng):
 class GreedyState(_KeptSums):
     """Lazy max-heap over per-index imbalance (sqrt r - sqrt c)^2.
 
-    Stale heap entries are skipped by version stamp instead of being
-    removed, to keep refreshes cheap; resync() replaces the heap.
+    An entry whose score is no longer current is skipped instead of
+    being removed, to keep refreshes cheap; resync() replaces the heap.
     """
 
     def _rebuild(self):
-        self.stamp, self.heap = [-1] * self.A.n, []
+        self.heap = []
         self._rescore(range(self.A.n))
 
     def _rescore(self, ids):
-        r, c, stamp, sqrt = self.r, self.c, self.stamp, math.sqrt
+        r, c, heap, sqrt = self.r, self.c, self.heap, math.sqrt
         for i in ids:
-            stamp[i] += 1
-            heapq.heappush(self.heap,
-                           (-(sqrt(r[i]) - sqrt(c[i])) ** 2, i, stamp[i]))
+            heapq.heappush(heap, (-(sqrt(r[i]) - sqrt(c[i])) ** 2, i))
 
     def refresh(self, j):
         """Rescore j and its neighbors; returns the nonzeros scanned."""
@@ -291,10 +294,10 @@ class GreedyState(_KeptSums):
 
 def greedy_index(state):
     """Index of maximal imbalance at the current iterate (smallest on ties)."""
-    heap = state.heap
+    heap, r, c, sqrt = state.heap, state.r, state.c, math.sqrt
     while True:
-        neg, i, stamp = heap[0]
-        if stamp == state.stamp[i]:
+        neg, i = heap[0]
+        if neg == -(sqrt(r[i]) - sqrt(c[i])) ** 2:
             return i
         heapq.heappop(heap)
 

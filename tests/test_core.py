@@ -128,6 +128,15 @@ class TestConstructor:
         with pytest.raises(ValueError, match="dimension must be positive"):
             SparseNonnegMatrix(n, [], [], [])
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), "2"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, n):
+        with pytest.raises(TypeError):  # operator.index, as Strategy's seed
+            SparseNonnegMatrix(n, [0, 1], [1, 0], [1.0, 1.0])
+
+    def test_numpy_int_dimension_is_kept_as_an_int(self):
+        A = SparseNonnegMatrix(np.int64(2), [0, 1], [1, 0], [1.0, 1.0])
+        assert type(A.n) is int and A.n == 2 and A.m == 2
+
     @pytest.mark.parametrize("n", [osbalance.core._MAX_N + 1, 10**20])
     def test_rejects_dimension_whose_keys_overflow(self, n):
         # Entry keys row * n + col reach n * n - 1, which must fit intp.

@@ -177,6 +177,15 @@ class TestConfig:
             LowbitConfig(eps, 7)
         assert LowbitConfig(2**-40, 7).eps == 2**-40
 
+    @pytest.mark.parametrize("n", [7.5, 7.0, np.float64(7.0)])
+    def test_n_that_is_not_an_integer_refused(self, n):
+        with pytest.raises(TypeError):
+            LowbitConfig(1e-3, n)
+
+    def test_numpy_int_n_is_kept_as_an_int(self):
+        cfg = LowbitConfig(1e-3, np.int64(7))
+        assert type(cfg.n) is int and cfg == LowbitConfig(1e-3, 7)
+
 
 class TestPreprocess:
     def test_unit_entry_is_exact_zero(self):

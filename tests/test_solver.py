@@ -14,7 +14,7 @@ from osbalance import (BalancingError, GreedyState,
                        run_parallel, scaled_matrix, stats,
                        theoretical_cycle_bound, weighted_sample)
 from osbalance import solver
-from osbalance.core import row_col_sums, row_col_sums_at
+from osbalance.core import _SCALAR_DEG, row_col_sums, row_col_sums_at
 from osbalance.solver import cycle_rng, default_max_cycles
 from conftest import (dense_instance, dense_potential, random_support,
                       ring_plus_entries, sparse_balanceable)
@@ -310,6 +310,14 @@ class TestRun:
         assert type(Strategy("shuffled", seed=np.int64(3)).seed) is int
         assert Strategy("cyclic", seed=-1).seed == -1  # a seed it never uses
 
+    @pytest.mark.parametrize("name", ["max_cycles", "check_every"])
+    def test_integer_fields_are_kept_as_ints(self, name):
+        for value in (1.5, 2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):  # when built, not inside run
+                SolverConfig(**{name: value})
+        value = getattr(SolverConfig(**{name: np.int64(3)}), name)
+        assert type(value) is int and value == 3
+
     @pytest.mark.parametrize("kind", ["cyclic", "shuffled", "uniform",
                                       "weighted", "greedy"])
     def test_order_refused_by_kinds_other_than_fixed(self, kind):
@@ -488,11 +496,59 @@ class TestGreedyIndex:
             osborne_update(A, u, j)
             st.refresh(j)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=2 * n),
+        st.one_of(st.none(), st.integers(0, 2 ** 16)))))
+    def test_pick_is_the_smallest_argmax_of_the_kept_sums(self, case):
+        # A directed ring plus random entries, with unit weights (seed
+        # None), which make ties common, or random ones.  Each pick must
+        # be the smallest index of maximal score over the kept sums, for
+        # four cycles of kept-pair updates with a resync after two.
+        n, extra, seed = case
+        pairs = [(i, (i + 1) % n) for i in range(n)] + extra
+        vals = (np.ones(len(pairs)) if seed is None else
+                np.random.default_rng(seed).uniform(0.1, 10.0, len(pairs)))
+        A = build_matrix(n, [(i, j, v) for (i, j), v in zip(pairs, vals)])
+        u = np.zeros(n)
+        state = GreedyState(A, u)
+        for step in range(4 * n):
+            if step == 2 * n:
+                state.resync()
+            j = greedy_index(state)
+            scores = [(math.sqrt(r) - math.sqrt(c)) ** 2
+                      for r, c in zip(state.r, state.c)]
+            assert j == scores.index(max(scores))
+            osborne_update(A, u, j, sums=(state.r[j], state.c[j]))
+            state.refresh(j)
+
 
 # Strongly connected, with entries over 500 decades.
 SPREAD3 = build_matrix(3, [(0, 1, 3.17e247), (0, 2, 1.33e73),
                            (1, 0, 4e-277), (1, 2, 9.77e-242),
                            (2, 0, 4.06e-275), (2, 1, 4.89e218)])
+
+
+def hub_ring():
+    """A relabelled bidirectional ring, entries over four decades, whose
+    vertex 0 also has an entry to and from every other vertex: its sums
+    take the kernel's numpy path, every other vertex's the scalar one.
+    The hub's entries lie three decades lower, so its ring entries
+    dominate its sums, and a ring neighbor's update can halve them."""
+    n, rng = 30, np.random.default_rng(5)
+    perm = rng.permutation(n)
+    trip = [(perm[i], perm[(i + 1) % n], 10.0 ** rng.uniform(-2.0, 2.0))
+            for i in range(n)]
+    trip += [(perm[(i + 1) % n], perm[i], 10.0 ** rng.uniform(-2.0, 2.0))
+             for i in range(n)]
+    trip += [(0, i, 10.0 ** rng.uniform(-4.0, -2.0)) for i in range(1, n)]
+    trip += [(i, 0, 10.0 ** rng.uniform(-4.0, -2.0)) for i in range(1, n)]
+    return build_matrix(n, trip)
+
+
+HUB30 = hub_ring()
 
 # Greedy's resync after the first cycle finds row 2's sum underflowed.
 UNDER4 = build_matrix(4, [(0, 1, 1.120907503718338e-91),
@@ -563,8 +619,9 @@ def _select(state, rng):
 
 
 class TestKeptSums:
-    @pytest.mark.parametrize("A", [gen_kalantari(40), gen_salient(200, 5)],
-                             ids=["ring81", "salient200"])
+    @pytest.mark.parametrize("A", [gen_kalantari(40), gen_salient(200, 5),
+                                   HUB30],
+                             ids=["ring81", "salient200", "hub30"])
     @pytest.mark.parametrize("cls", [GreedyState, WeightedState])
     def test_one_cycle_drift(self, A, cls):
         u = np.zeros(A.n)
@@ -579,6 +636,27 @@ class TestKeptSums:
         assert np.allclose(state.c, c, rtol=1e-12, atol=0.0)
         if cls is WeightedState:
             assert np.allclose(state.fen.weights, r + c, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cls", [GreedyState, WeightedState])
+    def test_guarded_recomputes_on_both_kernel_paths(self, cls, monkeypatch):
+        # In HUB30's first cycle the guard recomputes the hub, above
+        # _SCALAR_DEG, and vertices below it; each refresh counts j's
+        # entries and every recomputed vertex's, read from the bounds.
+        A = HUB30
+        assert A.deg[0] > _SCALAR_DEG >= A.deg[1:].max()
+        calls = kernel_calls(monkeypatch)
+        u = np.zeros(A.n)
+        state = cls(A, u)
+        rng = cycle_rng(11, 0)
+        for _ in range(A.n):
+            j = _select(state, rng)
+            osborne_update(A, u, j, sums=(state.r[j], state.c[j]))
+            before = len(calls)
+            nonzeros = state.refresh(j)
+            guarded = {i for _, i in calls[before:]}
+            assert nonzeros == A.deg[j] + sum(A.deg[i] for i in guarded)
+        guarded = {i for _, i in calls}
+        assert 0 in guarded and guarded - {0}
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(
