@@ -39,17 +39,19 @@ class SparseNonnegMatrix:
     and (row, col, value) triplets as three sequences, with indices in
     [0, n) and no negative value, it drops zero and diagonal entries
     (counted in ``.dropped``), sums duplicates, which must then be
-    finite, and sorts them by (row, col).  Else it raises ValueError,
-    or TypeError for an n that operator.index refuses, such as 2.5.
+    finite, and sorts them by (row, col); triplets already in that order
+    without duplicates skip the sort and the sum.  Else it raises
+    ValueError, or TypeError for an n that operator.index refuses, such
+    as 2.5.  The arrays it keeps never alias the caller's.
 
     Every entry is also kept twice in one flat incidence layout: vertex
     j owns the segment ``inc_ptr[j]:inc_ptr[j + 1]`` of ``inc_idx`` (the
     other endpoint), ``inc_val`` and ``inc_sign``, which holds row j's
     entries (sign +1, the first ``out_deg[j]``) and then column j's
     (sign -1), each in canonical order; a row/column pair is one
-    O(deg(j)) slice.  ``views`` holds memoryviews of ``inc_ptr``,
-    ``out_deg``, ``inc_idx`` and ``inc_val``, whose items read as
-    Python numbers.
+    O(deg(j)) slice.  Only the column parts take a sort, of m keys.
+    ``views`` holds memoryviews of ``inc_ptr``, ``out_deg``, ``inc_idx``
+    and ``inc_val``, whose items read as Python numbers.
     """
 
     __slots__ = ("n", "m", "coo_rows", "coo_cols", "coo_vals", "inc_ptr",
@@ -71,37 +73,43 @@ class SparseNonnegMatrix:
             raise ValueError("negative value in triplet list")
         keep = (vals != 0) & (rows != cols)
         self.dropped = len(vals) - int(np.count_nonzero(keep))
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        keys, inverse = np.unique(rows * n + cols, return_inverse=True)
-        # astype: bincount of no entries at all gives int64
-        vals = np.bincount(inverse, vals, keys.size).astype(float, copy=False)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]  # copies
+        keys = rows * n + cols
+        if not np.all(keys[1:] > keys[:-1]):  # unsorted or duplicated
+            keys, inverse = np.unique(keys, return_inverse=True)
+            vals = np.bincount(inverse, vals, keys.size)
+            rows, cols = np.divmod(keys, n)
+            del inverse
+        del keys, keep
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite entry")
-        self.coo_rows, self.coo_cols = np.divmod(keys, n)
-        self.coo_vals = vals
-        del rows, cols, vals, keep, keys, inverse
-        self.m = len(self.coo_vals)
+        self.coo_rows, self.coo_cols, self.coo_vals = rows, cols, vals
+        self.m = m = len(vals)
         self._strong = None
 
-        # Incidence k < m is entry k seen from its row, k >= m entry k - m
-        # from its column; a stable sort by (owner, part) keeps each part
-        # in canonical order.  Built in place: the peak memory of reading
-        # a file is set here, while the parsed triplets are still alive.
-        key = np.concatenate([self.coo_rows, self.coo_cols])
-        self.deg = np.bincount(key, minlength=self.n)
+        # Vertex j's segment: the run of row j's entries, then column j's
+        # in the order of their unique keys col * n + row, which any sort
+        # gives.  Temporaries go early: the peak memory of reading a file
+        # is set here, while the parsed triplets are still alive.
+        self.out_deg = np.bincount(rows, minlength=n)
+        in_deg = np.bincount(cols, minlength=n)
+        self.deg = self.out_deg + in_deg
         self.inc_ptr = np.concatenate([[0], np.cumsum(self.deg)])
-        key *= 2
-        key[self.m:] += 1
-        entry = np.argsort(key, kind="stable").astype(
-            np.min_scalar_type(2 * self.m))
-        del key
-        col_part = entry >= self.m
-        entry[col_part] -= self.m
-        self.inc_idx = self.coo_cols[entry]
-        self.inc_idx[col_part] = self.coo_rows[entry[col_part]]
-        self.inc_val = self.coo_vals[entry]
+        col_part = np.repeat(np.tile([False, True], n),
+                             np.stack([self.out_deg, in_deg], axis=1).ravel())
+        del in_deg
+        by_col = np.argsort(cols * n + rows)
+        col_rows, col_vals = rows[by_col], vals[by_col]
+        del by_col
+        self.inc_idx = np.empty(2 * m, np.intp)
+        self.inc_idx[~col_part] = cols
+        self.inc_idx[col_part] = col_rows
+        del col_rows
+        self.inc_val = np.empty(2 * m)
+        self.inc_val[~col_part] = vals
+        self.inc_val[col_part] = col_vals
+        del col_vals
         self.inc_sign = 1 - 2 * col_part.view(np.int8)
-        self.out_deg = np.bincount(self.coo_rows, minlength=self.n)
         self.views = tuple(map(memoryview, (self.inc_ptr, self.out_deg,
                                             self.inc_idx, self.inc_val)))
 

@@ -108,6 +108,9 @@ def _ascii_lines(fh):
         yield line
 
 
+_CHUNK = 4096  # values formatted by one % operation
+
+
 def write_scaling(path, u, base2=False):
     u = np.asarray(u, dtype=np.float64)
     if base2:
@@ -115,8 +118,10 @@ def write_scaling(path, u, base2=False):
             u = u / np.log(2.0)
         if not np.all(np.isfinite(u)):
             raise ValueError("a base-2 exponent of the scaling is not finite")
-    with open(path, "w") as fh:
-        fh.writelines(f"{x:.17g}\n" for x in u.tolist())
+    with open(path, "w") as fh:  # one string per chunk, not per file
+        for lo in range(0, len(u), _CHUNK):
+            chunk = u[lo:lo + _CHUNK].tolist()
+            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
 
 
 def read_scaling(path):

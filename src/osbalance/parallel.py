@@ -131,7 +131,8 @@ def run_parallel(A, coloring, cfg, workers=1):
     """
     require_honoured(cfg)
     validate_coloring(A, coloring)
-    order = np.concatenate(color_class_order(coloring))
-    report = run(A, replace(cfg, strategy=Strategy("fixed", order=order)))
+    strategy = Strategy("fixed", order=np.concatenate(
+        color_class_order(coloring)).tolist())
+    report = run(A, replace(cfg, strategy=strategy))
     report.rounds_used = coloring.num_colors * report.cycles_used
     return report

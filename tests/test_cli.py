@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import osbalance.cli
 import osbalance.core
 import osbalance.instances
+import osbalance.mmio
 from osbalance import (SolverConfig, Strategy, build_matrix,
                        gen_kalantari, gen_random_sparse, gen_salient,
                        imbalance, read_matrix_market, read_scaling, run,
@@ -909,3 +910,22 @@ class TestScalingFiles:
         self.write_one_at_a_time(want, u, base2=base2)
         assert got.read_bytes() == want.read_bytes()
         assert b"-0\n" in got.read_bytes()
+
+    @pytest.mark.parametrize("length", [0, 1, osbalance.mmio._CHUNK - 1,
+                                        osbalance.mmio._CHUNK,
+                                        osbalance.mmio._CHUNK + 1,
+                                        3 * osbalance.mmio._CHUNK + 5])
+    def test_chunks_are_the_per_line_format(self, tmp_path, length):
+        edges = [-0.0, 5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308]
+        rng = np.random.default_rng(length)
+        pool = np.concatenate([
+            edges, rng.integers(-10**6, 10**6, 40).astype(float),
+            [2.0**53, -2.0**60, 1e22], rng.normal(scale=1e3, size=60),
+            10.0 ** rng.uniform(-320, 308, 40) * rng.choice([-1, 1], 40)])
+        u = rng.choice(pool, length)
+        u[:min(length, len(edges))] = edges[:length]
+        path = tmp_path / "x.u"
+        write_scaling(path, u)
+        want = "".join(f"{x:.17g}\n" for x in u.tolist())
+        assert path.read_bytes() == want.encode()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,6 +158,148 @@ class TestConstructor:
     def test_empty_matrix_keeps_float_values(self):
         A = SparseNonnegMatrix(2, [], [], [])
         assert A.m == 0 and A.coo_vals.dtype == np.float64
+
+
+def sorted_layout(n, rows, cols, vals):
+    """The layout by the construction it replaced: np.unique of every
+    key, duplicates summed by bincount, and one stable argsort of 2m
+    keys (owner, part) over the entries seen from both ends."""
+    rows, cols = (np.asarray(a, dtype=np.intp) for a in (rows, cols))
+    vals = np.asarray(vals, dtype=np.float64)
+    keep = (vals != 0) & (rows != cols)
+    dropped = len(vals) - int(np.count_nonzero(keep))
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    vals = np.bincount(inverse, vals, keys.size).astype(float, copy=False)
+    coo_rows, coo_cols = np.divmod(keys, n)
+    m = len(vals)
+    key = np.concatenate([coo_rows, coo_cols])
+    deg = np.bincount(key, minlength=n)
+    key *= 2
+    key[m:] += 1
+    entry = np.argsort(key, kind="stable").astype(np.min_scalar_type(2 * m))
+    col_part = entry >= m
+    entry[col_part] -= m
+    inc_idx = coo_cols[entry]
+    inc_idx[col_part] = coo_rows[entry[col_part]]
+    return dict(coo_rows=coo_rows, coo_cols=coo_cols, coo_vals=vals,
+                inc_ptr=np.concatenate([[0], np.cumsum(deg)]),
+                inc_idx=inc_idx, inc_val=vals[entry],
+                inc_sign=1 - 2 * col_part.view(np.int8), deg=deg,
+                out_deg=np.bincount(coo_rows, minlength=n),
+                n=n, m=m, dropped=dropped)
+
+
+def assert_layout(A, want):
+    """Every attribute of A bitwise and dtype-equal to want's."""
+    for name, w in want.items():
+        got = getattr(A, name)
+        if isinstance(w, np.ndarray):
+            assert got.dtype == w.dtype and got.shape == w.shape, name
+            assert got.tobytes() == w.tobytes(), name
+        else:
+            assert type(got) is type(w) and got == w, name
+    for view, name in zip(A.views, ("inc_ptr", "out_deg", "inc_idx",
+                                    "inc_val")):
+        assert view.obj is getattr(A, name)
+
+
+@st.composite
+def layout_triplets(draw):
+    """(n, rows, cols, vals, canonical): triplets with duplicates, zero
+    and diagonal entries, in the order drawn, or sorted by (row, col)
+    with one entry per key, so the constructor sees both kinds."""
+    n = draw(st.integers(1, 9))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324]),
+                      st.floats(0.0, 1e6))
+    triplets = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1), value),
+                             max_size=4 * n))
+    canonical = draw(st.booleans())
+    if canonical:
+        triplets = sorted({(i, j): v for i, j, v in triplets}.items())
+        triplets = [(i, j, v) for (i, j), v in triplets]
+    elif draw(st.booleans()):  # a duplicate out of order as well
+        triplets += [t for t in triplets[:1] if t[2] and t[0] != t[1]]
+    rows, cols, vals = (np.array(a, dtype=d).reshape(-1) for a, d in zip(
+        zip(*triplets) if triplets else ((), (), ()),
+        (np.intp, np.intp, np.float64)))
+    return n, rows, cols, vals
+
+
+class TestLayout:
+    """The constructor against its earlier construction: one stable sort
+    of 2m keys, after np.unique and bincount of every input."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(layout_triplets())
+    def test_equals_the_stable_sort_of_2m_keys(self, case):
+        n, rows, cols, vals = case
+        want = sorted_layout(n, rows, cols, vals)
+        kept = (vals != 0) & (rows != cols)
+        keys = rows[kept] * n + cols[kept]
+        canonical = bool(np.all(keys[1:] > keys[:-1]))
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            A = SparseNonnegMatrix(n, rows, cols, vals)
+        assert unique.called is not canonical
+        assert_layout(A, want)
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_reaches_both_branches(self, canonical):
+        rows, cols = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
+        if not canonical:
+            rows, cols = rows[::-1] + [0], cols[::-1] + [1]
+        vals = np.arange(1.0, len(rows) + 1)
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            A = SparseNonnegMatrix(3, rows, cols, vals)
+        assert unique.called is not canonical
+        assert_layout(A, sorted_layout(3, rows, cols, vals))
+
+    @pytest.mark.parametrize("n, triplets", [
+        (1, []), (1, [(0, 0, 2.0)]), (4, []), (3, [(1, 2, 0.0)]),
+        (2, [(0, 1, 1.0), (1, 0, 2.0)]), (2, [(1, 0, 2.0), (0, 1, 1.0)])])
+    def test_named_inputs(self, n, triplets):
+        rows, cols, vals = (list(a) for a in zip(*triplets)) if triplets \
+            else ([], [], [])
+        assert_layout(SparseNonnegMatrix(n, rows, cols, vals),
+                      sorted_layout(n, rows, cols, vals))
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout_triplets(), st.sampled_from([
+        [("i", np.intp), ("j", np.intp), ("v", np.float64)],
+        [("r", np.int32), ("c", np.int64), ("x", np.float32)]]))
+    def test_structured_array(self, case, fields):
+        n, rows, cols, vals = case
+        entries = np.empty(len(vals), dtype=fields)
+        for name, a in zip(entries.dtype.names, (rows, cols, vals)):
+            entries[name] = a
+        A = build_matrix(n, entries)
+        assert_layout(A, sorted_layout(n, *(entries[name] for name
+                                            in entries.dtype.names)))
+
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_inputs_changed_later_leave_the_matrix(self, structured,
+                                                   canonical):
+        rows = np.array([0, 0, 1, 1, 2, 2], dtype=np.intp)
+        cols = np.array([1, 2, 0, 2, 0, 1], dtype=np.intp)
+        vals = np.arange(1.0, 7.0)
+        if not canonical:
+            rows, cols, vals = rows[::-1].copy(), cols[::-1].copy(), \
+                vals[::-1].copy()
+        if structured:
+            entries = np.empty(6, [("i", np.intp), ("j", np.intp),
+                                   ("v", np.float64)])
+            entries["i"], entries["j"], entries["v"] = rows, cols, vals
+            A = build_matrix(3, entries)
+            inputs = [entries["i"], entries["j"], entries["v"]]
+        else:
+            A = SparseNonnegMatrix(3, rows, cols, vals)
+            inputs = [rows, cols, vals]
+        want = sorted_layout(3, *(a.copy() for a in inputs))
+        for a in inputs:
+            a[:] = a[::-1] if a.dtype.kind == "i" else 7.0
+        assert_layout(A, want)
 
 
 @st.composite
